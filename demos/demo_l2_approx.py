@@ -13,10 +13,10 @@ import numpy as np
 from curveq import (
     AnnStructure,
     Curve,
+    ExponentialGrid,
     KgonStructure,
     Segment,
     ann_ladder_query,
-    build_exponential_grid,
     dfd_segment_curve,
     kgon_sides,
 )
@@ -24,7 +24,7 @@ from curveq import (
 rng = np.random.default_rng(5)
 
 print("exponential grid around a point, eps=0.5, radii [alpha, beta]=[0.177, 1]")
-g = build_exponential_grid([0, 0], 0.5, 1 / (2 * math.sqrt(2)), 1.0)
+g = ExponentialGrid([0, 0], 0.5, 1 / (2 * math.sqrt(2)), 1.0)
 print(f"  levels: {g.nlevels}, cells: {g.ncells}")
 
 curves = [Curve(f"c{k}", rng.integers(0, 40, size=(5, 2))) for k in range(8)]

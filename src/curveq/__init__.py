@@ -31,7 +31,6 @@ from .nn_l2 import (
     ExponentialGrid,
     KgonStructure,
     ann_ladder_query,
-    build_exponential_grid,
     kgon_sides,
 )
 from .center import (
@@ -54,7 +53,7 @@ __all__ = [
     "circumcircle", "circle_intersections",
     "SegmentQueryIndex", "SegmentInputIndex", "rect_key_table",
     "TranslationCurveIndex", "TranslationSegmentIndex", "translation_key_table",
-    "ExponentialGrid", "build_exponential_grid", "AnnStructure",
+    "ExponentialGrid", "AnnStructure",
     "ann_ladder_query", "kgon_sides", "KgonStructure",
     "CenterSolution", "center_linf", "center_linf_translation",
     "r_lower_bound", "candidate_radii", "center_l2_decision", "center_l2",

@@ -15,7 +15,10 @@
 * :class:`KgonStructure`: curve queries over segments.  Replaces the
   L-infinity squares by regular k-gons with k chosen so that
   1/cos(pi/k) <= 1+eps; the exact k-gon optimum, rescaled by 1/cos(pi/k),
-  sandwiches the true L2 optimum within [d*, (1+eps) d*].
+  sandwiches the true L2 optimum within [d*, (1+eps) d*].  The k-gon
+  optimum is a min-max over per-split shift rows of support values,
+  answered by :meth:`DominanceIndex.nearest` over Morton-ordered
+  endpoint blocks.
 """
 
 from __future__ import annotations
@@ -26,12 +29,11 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .geometry import Curve, Segment, dfd_segment_curve
-from .nn_linf import _Family, _min_feasible_over, _ranked_ids
+from .nn_linf import _morton_keys, _ranked_ids
 from .rangetree import DominanceIndex
 
 __all__ = [
     "ExponentialGrid",
-    "build_exponential_grid",
     "AnnStructure",
     "ann_ladder_query",
     "kgon_sides",
@@ -117,10 +119,6 @@ class ExponentialGrid:
                 assert cell is not None, "located cell must have been kept"
                 return cell
         return None
-
-
-def build_exponential_grid(center, eps: float, alpha: float, beta: float) -> ExponentialGrid:
-    return ExponentialGrid(center, eps, alpha, beta)
 
 
 def _prefix_suffix_maxima(centers: np.ndarray, pts: np.ndarray):
@@ -260,14 +258,18 @@ class KgonStructure:
         self.ids_by_rank, ranks = _ranked_ids([s.id for s in segments])
         a = np.array([s.a for s in segments])
         b = np.array([s.b for s in segments])
-        self._adots = a @ self.normals.T
-        self._bdots = b @ self.normals.T
         self._index = DominanceIndex(
-            np.hstack([self._adots, self._bdots]), tags=ranks
+            np.hstack([a @ self.normals.T, b @ self.normals.T]),
+            tags=ranks,
+            sort_keys=_morton_keys(np.hstack([a, b])),
         )
 
     def __len__(self) -> int:
         return len(self._index)
+
+    def describe(self) -> dict:
+        """Size of the underlying index (see :meth:`DominanceIndex.describe`)."""
+        return self._index.describe()
 
     def _shift_rows(self, q: Curve) -> np.ndarray:
         if len(q) < 2:
@@ -285,28 +287,15 @@ class KgonStructure:
         """
         if d < 0:
             raise ValueError("decision distance must be non-negative")
-        res = self._index.decide_many(self._shift_rows(q), d)
-        return None if res is None else self.ids_by_rank[res[1]]
+        tag = self._index.decide(self._shift_rows(q), d)
+        return None if tag is None else self.ids_by_rank[tag]
 
     def nearest(self, q: Curve) -> tuple[str, float]:
         """Nearest segment with distance estimate d~ in [d*, (1+eps) d*].
 
-        The exact k-gon optimum is found by binary search over all
+        The exact k-gon optimum is the smallest per-split maximum of
         support-value differences; rescaling by 1/cos(pi/k) turns the
         inner-approximation into the two-sided guarantee.
         """
-        shift_rows = self._shift_rows(q)
-        dots = q.pts @ self.normals.T
-
-        def feasible(d: float) -> bool:
-            return self._index.decide_many(shift_rows, d) is not None
-
-        diffs = np.concatenate([
-            (self._adots[:, None, :] - dots[None, :, :]).ravel(),
-            (self._bdots[:, None, :] - dots[None, :, :]).ravel(),
-        ])
-        family = _Family(np.sort(diffs[diffs >= 0.0]))
-        upper = float(np.min(np.max(self._index.values[:1] - shift_rows, axis=1)))
-        d_kgon = _min_feasible_over([family], feasible, upper)
-        tag = self._index.min_tag_many(shift_rows, d_kgon)
+        d_kgon, tag = self._index.nearest(self._shift_rows(q))
         return self.ids_by_rank[tag], d_kgon / math.cos(math.pi / self.k)

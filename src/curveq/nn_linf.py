@@ -11,15 +11,14 @@ Two directions:
 * :class:`SegmentInputIndex` -- indexes segments by their endpoint
   4-tuples, answers curve queries via per-split rectangle pairs.
 
-Distances are exact: the optimum is always a difference of an input
-coordinate and a query coordinate, found by binary searches over the
-sorted per-side candidate families with the decision structure as the
-comparator (the searches share one monotone predicate, so they are
-interleaved into a single joint search).  Every decision restricts the
-scan to the contiguous sorted-column window implied by the paired
-one-sided conditions, which keeps queries sublinear in practice.
-Results agree bit-for-bit with a brute-force scan computing the same
-differences; ties break to the lexicographically smallest id.
+In both directions the distance is a minimum over shift rows of a
+maximum over columns of ``value - shift``: one shift row for a segment
+query, one per split of a curve query.  :meth:`DominanceIndex.nearest`
+answers it with a best-first search over Morton-ordered blocks.  Every
+distance is a single difference of an input coordinate and a query
+coordinate, so results agree bit-for-bit with a brute-force scan
+computing the same differences; ties break to the lexicographically
+smallest id.
 """
 
 from __future__ import annotations
@@ -43,11 +42,13 @@ _SIGNS8 = np.array([1.0, -1.0, 1.0, -1.0, 1.0, -1.0, 1.0, -1.0])
 
 
 def _ranked_ids(ids: Sequence[str]) -> tuple[list[str], np.ndarray]:
+    """Ids in sorted order, and each input position's rank in it."""
     if len(set(ids)) != len(ids):
         raise ValueError("dataset ids must be unique")
-    by_rank = sorted(ids)
-    rank = {cid: k for k, cid in enumerate(by_rank)}
-    return by_rank, np.array([rank[cid] for cid in ids])
+    order = sorted(range(len(ids)), key=ids.__getitem__)
+    ranks = np.empty(len(ids), dtype=int)
+    ranks[order] = np.arange(len(ids))
+    return [ids[k] for k in order], ranks
 
 
 @dataclass(frozen=True, eq=False)
@@ -95,6 +96,13 @@ def rect_key_table(curves: Sequence[Curve]) -> RectKeyTable:
     )
 
 
+def _describe(index: Optional[DominanceIndex]) -> dict:
+    """``index.describe()``, or all zeros for a structure without rows."""
+    if index is None:
+        return dict.fromkeys(("rows", "dims", "blocks", "block_size", "nbytes"), 0)
+    return index.describe()
+
+
 def _shift8(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.array([a[0], -a[0], a[1], -a[1], b[0], -b[0], b[1], -b[1]])
 
@@ -104,122 +112,30 @@ def _morton_keys(values: np.ndarray, bits: int = 8) -> np.ndarray:
 
     Rows that are close in every coordinate get nearby codes, so the
     per-block componentwise minima of a code-sorted layout are tight in
-    all dimensions at once.
+    all dimensions at once.  Raises ValueError when ``bits`` per
+    dimension do not fit in 64 bits.
     """
     v = np.asarray(values, dtype=float)
+    ndim = v.shape[1]
+    if bits * ndim > 64:
+        raise ValueError(
+            f"Morton key of {ndim} dimensions at {bits} bits needs "
+            f"{bits * ndim} > 64 bits"
+        )
     lo = v.min(axis=0)
     span = v.max(axis=0) - lo
     span[span == 0.0] = 1.0
     levels = (1 << bits) - 1
     q = np.minimum((levels * (v - lo) / span).astype(np.uint64), levels)
-    key = np.zeros(v.shape[0], dtype=np.uint64)
-    ndim = v.shape[1]
+    # spread[x] moves bit i of x to bit i * ndim
+    x = np.arange(levels + 1, dtype=np.uint64)
+    spread = np.zeros(levels + 1, dtype=np.uint64)
     for bit in range(bits):
-        for dim in range(ndim):
-            key |= ((q[:, dim] >> np.uint64(bit)) & np.uint64(1)) << np.uint64(
-                bit * ndim + dim
-            )
+        spread |= ((x >> np.uint64(bit)) & np.uint64(1)) << np.uint64(bit * ndim)
+    key = np.zeros(v.shape[0], dtype=np.uint64)
+    for dim in range(ndim):
+        key |= spread[q[:, dim]] << np.uint64(dim)
     return key
-
-
-# ---------------------------------------------------------------------------
-# joint binary search over candidate-distance families
-# ---------------------------------------------------------------------------
-
-def _bisect_first(lo: int, hi: int, pred) -> int:
-    """First index in [lo, hi) where the monotone predicate turns true."""
-    while lo < hi:
-        mid = (lo + hi) // 2
-        if pred(mid):
-            hi = mid
-        else:
-            lo = mid + 1
-    return lo
-
-
-class _Family:
-    """Ascending view of candidate distances scale*(base[j] - q).
-
-    ``base`` is sorted ascending; a negative scale reverses the logical
-    order.  All comparisons evaluate the exact per-candidate expression,
-    so window boundaries never misplace a value by rounding.  Candidates
-    below zero are dropped on construction (distances are non-negative).
-    """
-
-    __slots__ = ("base", "q", "scale", "i0", "i1")
-
-    def __init__(self, base, q: float = 0.0, scale: float = 1.0):
-        self.base = base
-        self.q = q
-        self.scale = scale
-        self.i0 = 0
-        self.i1 = len(base)
-        self.drop_lt(0.0)
-
-    def __len__(self) -> int:
-        return self.i1 - self.i0
-
-    def _val(self, j: int) -> float:
-        return self.scale * (self.base[j] - self.q)
-
-    def value_at(self, k: int) -> float:
-        j = self.i0 + k if self.scale > 0 else self.i1 - 1 - k
-        return self._val(j)
-
-    def mid(self) -> float:
-        return self._val((self.i0 + self.i1) // 2)
-
-    def drop_lt(self, v: float) -> None:
-        """Keep candidates >= v."""
-        if self.scale > 0:
-            self.i0 = _bisect_first(self.i0, self.i1, lambda j: self._val(j) >= v)
-        else:
-            self.i1 = _bisect_first(self.i0, self.i1, lambda j: self._val(j) < v)
-
-    def drop_le(self, v: float) -> None:
-        """Keep candidates > v."""
-        if self.scale > 0:
-            self.i0 = _bisect_first(self.i0, self.i1, lambda j: self._val(j) > v)
-        else:
-            self.i1 = _bisect_first(self.i0, self.i1, lambda j: self._val(j) <= v)
-
-    def drop_ge(self, v: float) -> None:
-        """Keep candidates < v."""
-        if self.scale > 0:
-            self.i1 = _bisect_first(self.i0, self.i1, lambda j: self._val(j) >= v)
-        else:
-            self.i0 = _bisect_first(self.i0, self.i1, lambda j: self._val(j) < v)
-
-
-def _min_feasible_over(families: list[_Family], feasible, upper: float) -> float:
-    """Smallest candidate value for which the monotone predicate holds.
-
-    ``upper`` must be a feasible candidate value; the families' binary
-    searches are interleaved against the shared predicate, probing the
-    median of the per-family window midpoints.
-    """
-    ans = upper
-    for f in families:
-        f.drop_ge(ans)
-    while True:
-        total = sum(len(f) for f in families)
-        if total == 0:
-            return ans
-        if total <= 8:
-            vals = sorted(f.value_at(k) for f in families for k in range(len(f)))
-            for v in vals:
-                if feasible(v):
-                    return v
-            return ans
-        mids = sorted(f.mid() for f in families if len(f))
-        v = mids[len(mids) // 2]
-        if feasible(v):
-            ans = v
-            for f in families:
-                f.drop_ge(v)
-        else:
-            for f in families:
-                f.drop_le(v)
 
 
 class SegmentQueryIndex:
@@ -227,28 +143,23 @@ class SegmentQueryIndex:
 
     def __init__(self, curves: Sequence[Curve]):
         self.table = rect_key_table(list(curves))
-        n = self.table.values.shape[0]
-        if n:
-            self._index = DominanceIndex(
+        self._index = (
+            DominanceIndex(
                 self.table.values,
                 tags=self.table.tags,
                 block_size=64,
                 sort_keys=_morton_keys(self.table.values),
             )
-            allpts = np.vstack([c.pts for c in curves])
-            self.xs = np.unique(allpts[:, 0])
-            self.ys = np.unique(allpts[:, 1])
-            self._xs_list = self.xs.tolist()
-            self._ys_list = self.ys.tolist()
-            step = max(1, n // 64)
-            self._sample = self._index.values[::step]
-        else:
-            self._index = None
-            self.xs = np.empty(0)
-            self.ys = np.empty(0)
+            if self.table.values.shape[0]
+            else None
+        )
 
     def __len__(self) -> int:
         return 0 if self._index is None else len(self._index)
+
+    def describe(self) -> dict:
+        """Size of the underlying index (see :meth:`DominanceIndex.describe`)."""
+        return _describe(self._index)
 
     def decide(self, s: Segment, d: float) -> Optional[str]:
         """Some curve id within distance d of s, or None.
@@ -264,29 +175,10 @@ class SegmentQueryIndex:
         return None if tag is None else self.table.ids_by_rank[tag]
 
     def nearest(self, s: Segment) -> tuple[str, float]:
-        """Closest curve and its exact distance.
-
-        The optimum is a coordinate difference between some vertex and a
-        query endpoint; the eight per-side binary searches over the
-        sorted coordinate sets run interleaved against the decision
-        structure, seeded with the exact distance of a sampled key.
-        """
+        """Closest curve and its exact distance (one shift row)."""
         if self._index is None:
             raise ValueError("nearest query on an empty structure")
-        shifts = _shift8(s.a, s.b)
-        upper = float(np.max(self._sample - shifts, axis=1).min())
-
-        def feasible(d: float) -> bool:
-            return self._index.decide(shifts, d) is not None
-
-        families = [
-            _Family(self._xs_list, float(s.a[0]), 1.0), _Family(self._xs_list, float(s.a[0]), -1.0),
-            _Family(self._ys_list, float(s.a[1]), 1.0), _Family(self._ys_list, float(s.a[1]), -1.0),
-            _Family(self._xs_list, float(s.b[0]), 1.0), _Family(self._xs_list, float(s.b[0]), -1.0),
-            _Family(self._ys_list, float(s.b[1]), 1.0), _Family(self._ys_list, float(s.b[1]), -1.0),
-        ]
-        best = _min_feasible_over(families, feasible, upper)
-        tag = self._index.min_tag(shifts, best)
+        best, tag = self._index.nearest(_shift8(s.a, s.b))
         return self.table.ids_by_rank[tag], best
 
 
@@ -300,15 +192,19 @@ class SegmentInputIndex:
         self.ids_by_rank, ranks = _ranked_ids([s.id for s in segments])
         a = np.array([s.a for s in segments])
         b = np.array([s.b for s in segments])
-        self._endpoints = (a, b)
         values = np.column_stack(
             [a[:, 0], -a[:, 0], a[:, 1], -a[:, 1], b[:, 0], -b[:, 0], b[:, 1], -b[:, 1]]
         )
-        self._index = DominanceIndex(values, tags=ranks)
-        self._col0 = self._index.col0.tolist()  # sorted a.x
+        self._index = DominanceIndex(
+            values, tags=ranks, sort_keys=_morton_keys(np.hstack([a, b]))
+        )
 
     def __len__(self) -> int:
         return len(self._index)
+
+    def describe(self) -> dict:
+        """Size of the underlying index (see :meth:`DominanceIndex.describe`)."""
+        return self._index.describe()
 
     def segments_in(self, rect_a, rect_b) -> list[str]:
         """Ids of segments with a in rect_a and b in rect_b (closed boxes).
@@ -330,76 +226,18 @@ class SegmentInputIndex:
             p.suf_min_x, -p.suf_max_x, p.suf_min_y, -p.suf_max_y,
         ])
 
-    def _windows(self, shift_rows: np.ndarray, d: float) -> list[tuple[int, int]]:
-        """Per-split sorted-column ranges: satisfying segments have
-        a.x - pre_min_x <= d and (implied) pre_max_x - a.x <= d."""
-        col = self._col0
-        n = len(col)
-        out = []
-        for k in range(shift_rows.shape[0]):
-            pminx = shift_rows[k, 0]
-            pmaxx = -shift_rows[k, 1]
-            j1 = int(np.searchsorted(self._index.col0, pminx + d, side="right"))
-            while j1 < n and col[j1] - pminx <= d:
-                j1 += 1
-            while j1 > 0 and col[j1 - 1] - pminx > d:
-                j1 -= 1
-            j0 = int(np.searchsorted(self._index.col0, pmaxx - d, side="left"))
-            while j0 > 0 and pmaxx - col[j0 - 1] <= d:
-                j0 -= 1
-            while j0 < j1 and pmaxx - col[j0] > d:
-                j0 += 1
-            out.append((j0, j1))
-        return out
-
     def decide(self, q: Curve, d: float) -> Optional[str]:
         """Some segment id within distance d of curve q, or None.
 
-        Computes q's partition profile once, then one rectangle-pair
-        query per split.
+        Computes q's partition profile once; each split is one shift row
+        (a rectangle pair).
         """
         if d < 0:
             raise ValueError("decision distance must be non-negative")
-        rows = self._shift_rows(q)
-        res = self._index.decide_many(rows, d, row_ranges=self._windows(rows, d))
-        return None if res is None else self.ids_by_rank[res[1]]
+        tag = self._index.decide(self._shift_rows(q), d)
+        return None if tag is None else self.ids_by_rank[tag]
 
     def nearest_to_curve(self, q: Curve) -> tuple[str, float]:
-        """Closest segment to q and its exact distance.
-
-        Candidate distances are the differences between q's per-split
-        extremum coordinates and the matching endpoint coordinates, one
-        sorted family per rectangle side, searched jointly.
-        """
-        shift_rows = self._shift_rows(q)
-        p = partition_profile(q)
-        a, b = self._endpoints
-        ax, ay = np.unique(a[:, 0]), np.unique(a[:, 1])
-        bx, by = np.unique(b[:, 0]), np.unique(b[:, 1])
-
-        def feasible(d: float) -> bool:
-            return (
-                self._index.decide_many(shift_rows, d, row_ranges=self._windows(shift_rows, d))
-                is not None
-            )
-
-        # known-feasible seed: the exact distance of the first segment
-        upper = float(
-            np.min(np.max(self._index.values[:1] - shift_rows, axis=1))
-        )
-        families = []
-        specs = (
-            (p.pre_max_x, ax, 1.0), (p.pre_min_x, ax, -1.0),
-            (p.pre_max_y, ay, 1.0), (p.pre_min_y, ay, -1.0),
-            (p.suf_max_x, bx, 1.0), (p.suf_min_x, bx, -1.0),
-            (p.suf_max_y, by, 1.0), (p.suf_min_y, by, -1.0),
-        )
-        for ext, coords, sign in specs:
-            diffs = (ext[:, None] - coords[None, :]).ravel() * sign
-            cands = np.sort(diffs[diffs >= 0.0])
-            families.append(_Family(cands))
-        best = _min_feasible_over(families, feasible, upper)
-        tag = self._index.min_tag_many(
-            shift_rows, best, row_ranges=self._windows(shift_rows, best)
-        )
+        """Closest segment to q and its exact distance."""
+        best, tag = self._index.nearest(self._shift_rows(q))
         return self.ids_by_rank[tag], best

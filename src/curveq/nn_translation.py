@@ -1,25 +1,27 @@
 """Nearest-neighbor under translation, L-infinity discrete Fréchet distance.
 
 The distance between a query and an item is minimized over all
-translations of one of them.  Both directions reduce to conditions on
-translation-invariant quantities:
+translations of one of them.  Per split it has a closed form in
+translation-invariant quantities: with c = b - a the segment's difference
+vector, r the larger of the prefix/suffix smallest-enclosing-square
+radii, u1 = suf_min_x - pre_max_x, u2 = suf_max_x - pre_min_x and u3, u4
+the y analogues, the split's distance is
 
-* :class:`TranslationCurveIndex` (curves indexed, segment queries): a
-  segment with difference vector c = b - a is within d of a curve under
-  translation iff some split has enclosing-square radius r <= d and c
-  lies in the Minkowski rectangle [u2 - 2d, u1 + 2d] x [u4 - 2d, u3 + 2d],
-  where u1 = suf_min_x - pre_max_x, u2 = suf_max_x - pre_min_x and u3, u4
-  are the y analogues.  The signed conditions cover all four query
-  orientations with a single key set.
+    max(r, (u2 - c.x)/2, (c.x - u1)/2, (u4 - c.y)/2, (c.y - u3)/2),
 
-* :class:`TranslationSegmentIndex` (segments indexed, curve queries):
-  segments become difference points c_i = b_i - a_i.  Per split the
-  answer is either a point inside the Minkowski rectangle at its minimal
-  radius, or the first point swept by one of the four rectangle edges as
-  the radius grows -- a 3-sided wedge minimum in rotated coordinates.
+the formula of :func:`curveq.oracles.translation_distance_brute`.
 
-All optima are exact coordinate differences halved, so results match the
-interval-feasibility oracle bit-for-bit; ties break to the smallest id.
+* :class:`TranslationCurveIndex` (curves indexed, segment queries): one
+  row (r, u2, -u1, u4, -u3) per (curve, split), one shift row
+  (0, c.x, -c.x, c.y, -c.y) per query, scales (1, 2, 2, 2, 2).
+
+* :class:`TranslationSegmentIndex` (segments indexed, curve queries): one
+  row (-c.x, c.x, -c.y, c.y) per segment, one shift row
+  (-u2, u1, -u4, u3) per query split with scale 2 and row constant r.
+
+Both run :meth:`DominanceIndex.nearest`.  All optima are exact coordinate
+differences halved, so results match the oracle bit-for-bit; ties break
+to the smallest id.
 """
 
 from __future__ import annotations
@@ -30,8 +32,8 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .geometry import Curve, Segment, partition_profile
-from .nn_linf import _Family, _min_feasible_over, _ranked_ids
-from .rangetree import DominanceIndex, SweepMinIndex
+from .nn_linf import _describe, _morton_keys, _ranked_ids
+from .rangetree import DominanceIndex
 
 __all__ = [
     "TranslationKeyTable",
@@ -111,23 +113,17 @@ class TranslationCurveIndex:
         self.table = translation_key_table(list(curves))
         t = self.table
         self._index = (
-            DominanceIndex(t.values, tags=t.tags) if t.values.shape[0] else None
+            DominanceIndex(t.values, tags=t.tags, sort_keys=_morton_keys(t.values))
+            if t.values.shape[0]
+            else None
         )
-        if t.values.shape[0]:
-            self._r_list = np.sort(t.r).tolist()
-            self._u1_list = np.sort(t.u1).tolist()
-            self._u2_list = np.sort(t.u2).tolist()
-            self._u3_list = np.sort(t.u3).tolist()
-            self._u4_list = np.sort(t.u4).tolist()
-            step = max(1, t.values.shape[0] // 64)
-            self._sample = self._index.values[::step]
 
     def __len__(self) -> int:
         return 0 if self._index is None else len(self._index)
 
-    def _row_range(self, d: float) -> tuple[int, int]:
-        # the sort column is r itself, so r <= d is a plain prefix
-        return 0, int(np.searchsorted(self._index.col0, d, side="right"))
+    def describe(self) -> dict:
+        """Size of the underlying index (see :meth:`DominanceIndex.describe`)."""
+        return _describe(self._index)
 
     def decide(self, s: Segment, d: float) -> Optional[str]:
         """Some curve within distance d of s under translation, or None.
@@ -140,57 +136,15 @@ class TranslationCurveIndex:
             raise ValueError("decision distance must be non-negative")
         if self._index is None:
             return None
-        tag = self._index.decide(
-            _shift5(s.b - s.a), d, scales=_SCALES5, row_range=self._row_range(d)
-        )
+        tag = self._index.decide(_shift5(s.b - s.a), d, scales=_SCALES5)
         return None if tag is None else self.table.ids_by_rank[tag]
 
     def nearest(self, s: Segment) -> tuple[str, float]:
-        """Closest curve under translation, with its exact distance.
-
-        The optimum is either some key's r or a half span-difference;
-        the five candidate-family binary searches run interleaved
-        against the decision structure.
-        """
+        """Closest curve under translation, with its exact distance."""
         if self._index is None:
             raise ValueError("nearest query on an empty structure")
-        c = s.b - s.a
-        cx, cy = float(c[0]), float(c[1])
-        shifts = _shift5(c)
-        upper = float(
-            np.max((self._sample - shifts) / _SCALES5, axis=1).min()
-        )
-
-        def feasible(d: float) -> bool:
-            return (
-                self._index.decide(shifts, d, scales=_SCALES5,
-                                   row_range=self._row_range(d))
-                is not None
-            )
-
-        families = [
-            _Family(self._r_list),
-            _Family(self._u1_list, cx, -0.5),
-            _Family(self._u2_list, cx, 0.5),
-            _Family(self._u3_list, cy, -0.5),
-            _Family(self._u4_list, cy, 0.5),
-        ]
-        best = _min_feasible_over(families, feasible, upper)
-        tag = self._index.min_tag(shifts, best, scales=_SCALES5,
-                                  row_range=self._row_range(best))
+        best, tag = self._index.nearest(_shift5(s.b - s.a), scales=_SCALES5)
         return self.table.ids_by_rank[tag], best
-
-
-# wedge definitions: condition-value columns, objective column, and how the
-# swept-edge candidate distance derives from the objective value.
-def _wedge_tables(c: np.ndarray):
-    cx, cy = c[:, 0], c[:, 1]
-    return {
-        "right": (np.column_stack([cy - cx, -cx - cy, -cx]), cx),
-        "left": (np.column_stack([cx + cy, cx - cy, cx]), -cx),
-        "top": (np.column_stack([cx - cy, -cx - cy, -cy]), cy),
-        "bottom": (np.column_stack([cy - cx, cx + cy, cy]), -cy),
-    }
 
 
 class TranslationSegmentIndex:
@@ -201,74 +155,36 @@ class TranslationSegmentIndex:
         if not segments:
             raise ValueError("segment structure requires a non-empty segment list")
         self.ids_by_rank, ranks = _ranked_ids([s.id for s in segments])
-        c = np.array([s.b - s.a for s in segments])
-        self.points = c
-        self._member = DominanceIndex(
-            np.column_stack([-c[:, 0], c[:, 0], -c[:, 1], c[:, 1]]), tags=ranks
+        c = np.array([s.b for s in segments]) - np.array([s.a for s in segments])
+        self._index = DominanceIndex(
+            np.column_stack([-c[:, 0], c[:, 0], -c[:, 1], c[:, 1]]),
+            tags=ranks,
+            sort_keys=_morton_keys(c),
         )
-        self._wedges = {
-            name: SweepMinIndex(cond, obj, tags=ranks)
-            for name, (cond, obj) in _wedge_tables(c).items()
-        }
 
     def __len__(self) -> int:
-        return len(self._member)
+        return len(self._index)
+
+    def describe(self) -> dict:
+        """Size of the underlying index (see :meth:`DominanceIndex.describe`)."""
+        return self._index.describe()
 
     def points_in_rect(self, rect) -> list[str]:
         """Ids whose difference point lies in the closed rectangle ((x0,y0),(x1,y1))."""
         (x0, y0), (x1, y1) = rect
-        tags = self._member.collect_thresholds(np.array([-x0, x1, -y0, y1]))
+        tags = self._index.collect_thresholds(np.array([-x0, x1, -y0, y1]))
         return [self.ids_by_rank[k] for k in tags]
-
-    def wedge_min(self, name: str, thresholds):
-        """First swept point of one edge family (validation hook)."""
-        return self._wedges[name].min_objective(thresholds)
 
     def nearest_to_curve(self, q: Curve) -> tuple[str, float]:
         """Closest segment to q under translation, with exact distance.
 
-        Per split: if the Minkowski rectangle at its minimal radius d'
-        already contains a point, that split contributes d'; otherwise
-        each edge's first swept point contributes d' + (edge distance)/2.
+        One shift row (-u2, u1, -u4, u3) per split of q, scale 2, and the
+        split's radius r as row constant.
         """
         if len(q) < 2:
             raise ValueError("query curve must have at least 2 vertices")
         t = translation_key_table([Curve("q", q.pts)])
-        best: tuple[float, int] | None = None
-
-        def consider(d: float, tag: int) -> None:
-            nonlocal best
-            if best is None or (d, tag) < best:
-                best = (d, tag)
-
-        for k in range(t.r.shape[0]):
-            r, u1, u2, u3, u4 = t.r[k], t.u1[k], t.u2[k], t.u3[k], t.u4[k]
-            rr = 2.0 * r
-            tag = self._member.min_tag_thresholds(
-                np.array([-(u2 - rr), u1 + rr, -(u4 - rr), u3 + rr])
-            )
-            if tag is not None:
-                consider(float(r), tag)
-                continue
-            hit = self._wedges["right"].min_objective(
-                np.array([u3 - u1, -(u1 + u4), -(u1 + rr)])
-            )
-            if hit is not None:
-                consider((hit[0] - u1) / 2.0, hit[1])
-            hit = self._wedges["left"].min_objective(
-                np.array([u2 + u3, u2 - u4, u2 - rr])
-            )
-            if hit is not None:
-                consider((u2 + hit[0]) / 2.0, hit[1])
-            hit = self._wedges["top"].min_objective(
-                np.array([u1 - u3, -(u2 + u3), -(u3 + rr)])
-            )
-            if hit is not None:
-                consider((hit[0] - u3) / 2.0, hit[1])
-            hit = self._wedges["bottom"].min_objective(
-                np.array([u4 - u2, u1 + u4, u4 - rr])
-            )
-            if hit is not None:
-                consider((u4 + hit[0]) / 2.0, hit[1])
-        assert best is not None  # every point lies in the rectangle or a wedge
-        return self.ids_by_rank[best[1]], float(best[0])
+        best, tag = self._index.nearest(
+            np.column_stack([-t.u2, t.u1, -t.u4, t.u3]), scales=2.0, row_consts=t.r
+        )
+        return self.ids_by_rank[tag], best

@@ -1,7 +1,14 @@
 """Static search structures over numeric key vectors.
 
-Two interchangeable implementations of the same conjunctive query
-semantics live here:
+* :class:`DominanceIndex` -- the flat, block-pruned index behind every
+  exact query in curveq.  Rows are sorted by a caller-chosen key
+  (a Morton code in every structure) and grouped into blocks with
+  componentwise minima.  One best-first search answers the min-max
+  queries: blocks are visited in increasing order of a lower bound
+  derived from their minima, and the search stops once no unvisited
+  block can beat the best distance found (Roussopoulos, Kelley &
+  Vincent, SIGMOD 1995; Hjaltason & Samet, TODS 1999).  Bounds are exact
+  because ``x -> (x - s) / scale`` rounds monotonically.
 
 * :class:`MultiLevelTree` -- the textbook nested structure: one balanced
   search tree per key dimension, where every node owns an associated
@@ -11,15 +18,6 @@ semantics live here:
   small inputs and for validating the scalable index against the
   canonical-subset definition.
 
-* :class:`DominanceIndex` -- a flat, block-pruned index answering the
-  identical predicates at scale.  Rows are sorted by one column and
-  grouped into ~sqrt(N) blocks with componentwise minima; a block can
-  contain a satisfying row only if its minima satisfy every condition.
-  Pruning is exact because ``x -> x - s`` rounds monotonically, so the
-  block test never rejects a block containing a satisfying row.
-
-:class:`SweepMinIndex` extends the block scheme with an objective column
-(for "first point swept by a moving edge" queries), and
 :class:`MultiLevelSegmentTree` is the nested interval-stabbing variant
 with a min aggregate at the bottom level.
 """
@@ -33,7 +31,6 @@ import numpy as np
 
 __all__ = [
     "DominanceIndex",
-    "SweepMinIndex",
     "MultiLevelTree",
     "MultiLevelSegmentTree",
 ]
@@ -44,38 +41,34 @@ __all__ = [
 # ---------------------------------------------------------------------------
 
 class DominanceIndex:
-    """Exact witness queries for conjunctions of one-sided conditions.
+    """Exact min-max queries over N rows of D-dimensional values v.
 
-    Stores N rows of D-dimensional values v.  Queries come in two
-    equivalent forms:
+    A query supplies R shift rows s_r, optional per-column scales and
+    optional per-row constants c_r.  The distance of stored row v under
+    shift row r is
 
-    * shifted:   v[k] - shift[k] <= scale[k] * d   for every k
-    * threshold: v[k] <= t[k]                      for every k
+        max(c_r, max_k (v[k] - s_r[k]) / scale[k])
 
-    The shifted form evaluates each difference exactly as written, which
-    keeps results bit-identical to brute-force scans computing the same
-    differences.  Scales must be small powers of two (1 or 2 here) so the
-    right-hand side is exact.
+    and :meth:`nearest` minimizes it over all (r, v) pairs.  Every
+    difference is evaluated exactly as written, which keeps results
+    bit-identical to brute-force scans computing the same differences.
+    Scales must be powers of two (1 or 2 here) so the quotients are exact.
     """
 
-    def __init__(self, values, tags=None, block_size: Optional[int] = None,
-                 sort_keys=None):
-        """``sort_keys`` overrides the row order (default: first column).
+    def __init__(self, values, sort_keys, tags=None, block_size: Optional[int] = None):
+        """``sort_keys`` sets the row order.
 
-        Sorting by the first column enables contiguous ``row_range``
-        restrictions on it; a space-filling-curve key instead makes the
-        per-block minima jointly selective across all dimensions.
+        A space-filling-curve key makes the per-block minima jointly
+        selective across all dimensions.
         """
         values = np.atleast_2d(np.asarray(values, dtype=float))
         n, d = values.shape
         if n == 0:
             raise ValueError("DominanceIndex requires at least one row")
-        keys = values[:, 0] if sort_keys is None else np.asarray(sort_keys)
-        order = np.argsort(keys, kind="stable")
+        order = np.argsort(np.asarray(sort_keys), kind="stable")
         self.values = np.ascontiguousarray(values[order])
         tags = np.arange(n) if tags is None else np.asarray(tags)
         self.tags = tags[order]
-        self.col0 = np.ascontiguousarray(self.values[:, 0])
         b = block_size or max(8, math.isqrt(n))
         self._starts = np.arange(0, n, b)
         self._bmins = np.minimum.reduceat(self.values, self._starts, axis=0)
@@ -89,110 +82,73 @@ class DominanceIndex:
     def dims(self) -> int:
         return self.values.shape[1]
 
-    # -- internal -----------------------------------------------------------
+    def describe(self) -> dict:
+        """Rows, dims, blocks, block size and bytes held in arrays."""
+        arrays = (self.values, self.tags, self._starts, self._bmins)
+        return {
+            "rows": self._n,
+            "dims": self.dims,
+            "blocks": len(self._starts),
+            "block_size": self._b,
+            "nbytes": sum(a.nbytes for a in arrays),
+        }
+
+    # -- min-max queries ------------------------------------------------------
+
+    def nearest(self, shift_rows, scales=None, row_consts=None, stop=None):
+        """``(distance, tag)`` of the minimizing pair; ties to the smallest tag.
+
+        Per (shift row, block) the lower bound is the distance of the
+        block's componentwise minima.  Blocks are visited in increasing
+        order of their smallest bound, and inside a block only the shift
+        rows whose bound does not exceed the best distance so far are
+        evaluated.  The search ends at the first block whose bound is
+        above the best distance, so blocks that tie it are still visited.
+
+        With ``stop`` the search returns the first pair found at distance
+        at most ``stop`` instead, or None when there is none.
+        """
+        s = np.atleast_2d(np.asarray(shift_rows, dtype=float))
+        scale = None if scales is None else np.asarray(scales, dtype=float)
+        consts = None if row_consts is None else np.asarray(row_consts, dtype=float)
+
+        def dist(v, rows):
+            diff = v[None, :, :] - s[rows, None, :]
+            if scale is not None:
+                diff /= scale
+            d = diff.max(axis=2)
+            return d if consts is None else np.maximum(d, consts[rows, None])
+
+        bounds = dist(self._bmins, slice(None))  # (R, blocks)
+        block_lb = bounds.min(axis=0)
+        best = math.inf if stop is None else float(stop)
+        best_tag = None
+        for bi in np.argsort(block_lb, kind="stable").tolist():
+            if block_lb[bi] > best:
+                break
+            rows = np.flatnonzero(bounds[:, bi] <= best)
+            lo = bi * self._b
+            d = dist(self.values[lo:lo + self._b], rows).min(axis=0)
+            m = d.min()
+            if m > best:
+                continue
+            if stop is not None:
+                return float(m), self.tags[lo + int(np.argmin(d))]
+            tag = self.tags[lo:lo + self._b][d == m].min()
+            if best_tag is None or m < best or tag < best_tag:
+                best, best_tag = float(m), tag
+        return None if best_tag is None else (best, best_tag)
+
+    def decide(self, shift_rows, d: float, scales=None):
+        """Tag of some row at distance at most d (see :meth:`nearest`), else None."""
+        hit = self.nearest(shift_rows, scales, stop=d)
+        return None if hit is None else hit[1]
+
+    # -- threshold-form queries -----------------------------------------------
 
     def _block_rows(self, bi: int) -> slice:
         lo = self._starts[bi]
-        hi = min(lo + self._b, self._n)
-        return slice(lo, hi)
-
-    @staticmethod
-    def _rhs(d: float, scales) -> np.ndarray:
-        if scales is None:
-            return np.asarray(d, dtype=float)
-        return np.asarray(scales, dtype=float) * d
-
-    def _scan(self, shifts, rhs, j0: int, j1: int, want_min_tag: bool):
-        """First hit (or smallest tag) among rows [j0, j1) satisfying
-        (v - shifts) <= rhs componentwise.
-
-        Narrow windows are tested in one vectorized shot; wider ones go
-        through the per-block minima first, then member-test surviving
-        blocks in batched chunks (early exit between chunks for witness
-        queries).  Block pruning is exact: min over a block of (v - s)
-        equals (min v) - s because rounding is monotone.
-        """
-        if j0 >= j1:
-            return None
-        if j1 - j0 <= 2 * self._b:
-            ok = ((self.values[j0:j1] - shifts) <= rhs).all(axis=1)
-            if not ok.any():
-                return None
-            if want_min_tag:
-                return self.tags[j0:j1][ok].min()
-            return self.tags[j0 + np.argmax(ok)]
-        b0 = j0 // self._b
-        b1 = (j1 - 1) // self._b + 1
-        cand = np.nonzero(
-            ((self._bmins[b0:b1] - shifts) <= rhs).all(axis=1)
-        )[0] + b0
-        if cand.size == 0:
-            return None
-        best = None
-        width = np.arange(self._b)
-        for c0 in range(0, cand.size, 16):
-            chunk = cand[c0:c0 + 16]
-            idx = (self._starts[chunk][:, None] + width[None, :]).ravel()
-            idx = idx[(idx >= j0) & (idx < min(j1, self._n))]
-            ok = ((self.values[idx] - shifts) <= rhs).all(axis=1)
-            if not ok.any():
-                continue
-            if not want_min_tag:
-                return self.tags[idx[int(np.argmax(ok))]]
-            t = self.tags[idx][ok].min()
-            if best is None or t < best:
-                best = t
-        return best
-
-    # -- shifted-form queries -------------------------------------------------
-
-    def decide(self, shifts, d: float, scales=None, row_range=None):
-        """Tag of some row with (v - shifts) <= scales*d in all dims, else None.
-
-        ``row_range`` optionally restricts the scan to a contiguous range
-        of the col0-sorted rows (callers derive exact ranges from paired
-        one-sided conditions on the sort column).
-        """
-        shifts = np.asarray(shifts, dtype=float)
-        j0, j1 = row_range if row_range is not None else (0, self._n)
-        return self._scan(shifts, self._rhs(d, scales), j0, j1, False)
-
-    def decide_many(self, shift_rows, d: float, scales=None, row_ranges=None):
-        """First (row index into shift_rows, tag) satisfied by any shift row."""
-        shift_rows = np.atleast_2d(np.asarray(shift_rows, dtype=float))
-        rhs = self._rhs(d, scales)
-        for q in range(shift_rows.shape[0]):
-            j0, j1 = row_ranges[q] if row_ranges is not None else (0, self._n)
-            t = self._scan(shift_rows[q], rhs, j0, j1, False)
-            if t is not None:
-                return q, t
-        return None
-
-    def min_tag(self, shifts, d: float, scales=None, row_range=None):
-        """Smallest tag among rows satisfying the shifted conditions."""
-        shifts = np.asarray(shifts, dtype=float)
-        j0, j1 = row_range if row_range is not None else (0, self._n)
-        return self._scan(shifts, self._rhs(d, scales), j0, j1, True)
-
-    def min_tag_many(self, shift_rows, d: float, scales=None, row_ranges=None):
-        shift_rows = np.atleast_2d(np.asarray(shift_rows, dtype=float))
-        rhs = self._rhs(d, scales)
-        best = None
-        for q in range(shift_rows.shape[0]):
-            j0, j1 = row_ranges[q] if row_ranges is not None else (0, self._n)
-            t = self._scan(shift_rows[q], rhs, j0, j1, True)
-            if t is not None and (best is None or t < best):
-                best = t
-        return best
-
-    # -- threshold-form queries -----------------------------------------------
-    # v <= t is the shifted form with zero shift (v - 0.0 is exactly v)
-
-    def decide_thresholds(self, thresholds):
-        return self._scan(0.0, np.asarray(thresholds, dtype=float), 0, self._n, False)
-
-    def min_tag_thresholds(self, thresholds):
-        return self._scan(0.0, np.asarray(thresholds, dtype=float), 0, self._n, True)
+        return slice(lo, min(lo + self._b, self._n))
 
     def collect_thresholds(self, thresholds) -> np.ndarray:
         """Tags of all rows satisfying v <= thresholds componentwise."""
@@ -206,60 +162,6 @@ class DominanceIndex:
         if not out:
             return np.empty(0, dtype=self.tags.dtype)
         return np.sort(np.concatenate(out))
-
-
-class SweepMinIndex:
-    """Minimum of an objective over rows satisfying threshold conditions.
-
-    Rows are sorted and blocked by the objective column, so the scan can
-    stop at the first block whose smallest objective cannot improve the
-    incumbent.  Ties in the objective report the smallest tag, including
-    ties that straddle a block boundary.
-    """
-
-    def __init__(self, cond_values, objective, tags=None, block_size=None):
-        cond = np.atleast_2d(np.asarray(cond_values, dtype=float))
-        obj = np.asarray(objective, dtype=float)
-        n = cond.shape[0]
-        if n == 0:
-            raise ValueError("SweepMinIndex requires at least one row")
-        order = np.argsort(obj, kind="stable")
-        self.cond = np.ascontiguousarray(cond[order])
-        self.obj = obj[order]
-        tags = np.arange(n) if tags is None else np.asarray(tags)
-        self.tags = tags[order]
-        b = block_size or max(8, math.isqrt(n))
-        self._starts = np.arange(0, n, b)
-        self._cmins = np.minimum.reduceat(self.cond, self._starts, axis=0)
-        self._n = n
-        self._b = b
-
-    def min_objective(self, thresholds):
-        """(objective value, smallest tag among its ties) or None."""
-        thresholds = np.asarray(thresholds, dtype=float)
-        feasible = (self._cmins <= thresholds).all(axis=1)
-        best_val = None
-        best_tag = None
-        for bi in range(len(self._starts)):
-            lo = self._starts[bi]
-            if best_val is not None and self.obj[lo] > best_val:
-                break
-            if not feasible[bi]:
-                continue
-            hi = min(lo + self._b, self._n)
-            ok = (self.cond[lo:hi] <= thresholds).all(axis=1)
-            if not ok.any():
-                continue
-            idx = np.nonzero(ok)[0] + lo
-            v = self.obj[idx[0]]
-            if best_val is None or v < best_val:
-                best_val = v
-                best_tag = self.tags[idx[self.obj[idx] == v]].min()
-            elif v == best_val:
-                best_tag = min(best_tag, self.tags[idx[self.obj[idx] == v]].min())
-        if best_val is None:
-            return None
-        return float(best_val), best_tag
 
 
 # ---------------------------------------------------------------------------

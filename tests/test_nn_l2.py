@@ -6,11 +6,11 @@ import pytest
 from curveq import (
     AnnStructure,
     Curve,
+    ExponentialGrid,
     KgonStructure,
     Segment,
     SegmentQueryIndex,
     ann_ladder_query,
-    build_exponential_grid,
     dfd_segment_curve,
     kgon_sides,
 )
@@ -35,14 +35,14 @@ class TestExponentialGrid:
     def test_level_count_covers_the_ball(self):
         # side of the outermost square must reach 2*beta to cover the L2
         # ball of radius beta, hence ceil(log2(2 beta/alpha)) levels
-        g = build_exponential_grid([0, 0], 1.0, 1 / (2 * ROOT2), 1.0)
+        g = ExponentialGrid([0, 0], 1.0, 1 / (2 * ROOT2), 1.0)
         assert g.nlevels == math.ceil(math.log2(2 * 2 * ROOT2))  # = 3
         assert g.locate([1.0, 0.0]) is not None
         assert g.locate([0.0, -1.0]) is not None
 
     def test_innermost_square_absorbs_small_radii(self, rng):
         alpha = 0.25
-        g = build_exponential_grid([0, 0], 0.5, alpha, 1.0)
+        g = ExponentialGrid([0, 0], 0.5, alpha, 1.0)
         for _ in range(200):
             q = rng.uniform(-alpha, alpha, 2)
             if max(abs(q[0]), abs(q[1])) <= alpha:
@@ -53,7 +53,7 @@ class TestExponentialGrid:
     def test_covering_bound(self, rng):
         for eps in (1.0, 0.5, 0.25):
             alpha, beta = eps * 2.0 / (2 * ROOT2), 2.0
-            g = build_exponential_grid([3, -1], eps, alpha, beta)
+            g = ExponentialGrid([3, -1], eps, alpha, beta)
             bound = max(ROOT2 * alpha, eps * beta / 2) + 1e-12
             for _ in range(400):
                 th = rng.uniform(0, 2 * math.pi)
@@ -68,17 +68,17 @@ class TestExponentialGrid:
         c_bound = 16.0
         for eps in (1.0, 0.5, 0.25):
             alpha, beta = eps / (2 * ROOT2), 1.0
-            g = build_exponential_grid([0, 0], eps, alpha, beta)
+            g = ExponentialGrid([0, 0], eps, alpha, beta)
             denom = (1 / eps**2) * math.ceil(math.log2(beta / alpha))
             assert g.ncells <= c_bound * denom
 
     def test_parameter_validation(self):
         with pytest.raises(ValueError):
-            build_exponential_grid([0, 0], 0.0, 1, 2)
+            ExponentialGrid([0, 0], 0.0, 1, 2)
         with pytest.raises(ValueError):
-            build_exponential_grid([0, 0], 0.5, 2, 1)
+            ExponentialGrid([0, 0], 0.5, 2, 1)
         with pytest.raises(ValueError):
-            build_exponential_grid([0, 0], 1.5, 1, 2)
+            ExponentialGrid([0, 0], 1.5, 1, 2)
 
 
 class TestAnnStructure:

@@ -181,20 +181,6 @@ class TestTranslationSegmentIndex:
             )
             assert got == want
 
-    def test_wedge_min_matches_linear_scan(self, rng):
-        segs = rand_segments(rng, 40, hi=50)
-        idx = TranslationSegmentIndex(segs)
-        pts = np.array([s.b - s.a for s in segs])
-        cx, cy = pts[:, 0], pts[:, 1]
-        for _ in range(100):
-            t = rng.integers(-80, 80, 3).astype(float)
-            mask = (cy - cx <= t[0]) & (-cx - cy <= t[1]) & (-cx <= t[2])
-            res = idx.wedge_min("right", t)
-            if not mask.any():
-                assert res is None
-            else:
-                assert res[0] == cx[mask].min()
-
     def test_examples(self):
         idx = TranslationSegmentIndex([
             Segment("s1", [0, 0], [5, 0]),

@@ -7,8 +7,9 @@ from curveq.rangetree import (
     DominanceIndex,
     MultiLevelSegmentTree,
     MultiLevelTree,
-    SweepMinIndex,
 )
+from curveq.nn_linf import _morton_keys
+from conftest import brute_min_max
 
 
 def brute_mask(values, thresholds):
@@ -18,95 +19,77 @@ def brute_mask(values, thresholds):
 class TestDominanceIndex:
     def test_threshold_queries_match_brute(self, rng):
         values = rng.integers(0, 30, size=(120, 5)).astype(float)
-        idx = DominanceIndex(values)
+        idx = DominanceIndex(values, _morton_keys(values))
         for _ in range(300):
             t = rng.integers(-2, 32, size=5).astype(float)
             mask = brute_mask(values, t)
-            hit = idx.decide_thresholds(t)
+            # v <= t is the shifted form with shift t at distance 0
+            hit = idx.decide(t, 0.0)
             assert (hit is not None) == mask.any()
+            if hit is not None:
+                assert mask[hit]
             assert set(idx.collect_thresholds(t).tolist()) == set(np.nonzero(mask)[0])
-            if mask.any():
-                assert idx.min_tag_thresholds(t) == np.nonzero(mask)[0].min()
 
     def test_shifted_queries_match_brute(self, rng):
         values = rng.integers(0, 30, size=(90, 4)).astype(float)
-        idx = DominanceIndex(values)
+        idx = DominanceIndex(values, _morton_keys(values))
         scales = np.array([1.0, 2.0, 2.0, 1.0])
+        tags = np.arange(90)
         for _ in range(200):
             shifts = rng.integers(0, 30, size=4).astype(float)
             d = float(rng.integers(0, 15))
             mask = ((values - shifts) <= scales * d).all(axis=1)
             assert (idx.decide(shifts, d, scales=scales) is not None) == mask.any()
-            if mask.any():
-                assert idx.min_tag(shifts, d, scales=scales) == np.nonzero(mask)[0].min()
+            want = brute_min_max(values, tags, shifts, scales)[1]
+            assert idx.nearest(shifts, scales=scales) == want
 
-    def test_decide_many(self, rng):
+    def test_decide_over_many_shift_rows(self, rng):
         values = rng.integers(0, 20, size=(50, 3)).astype(float)
-        idx = DominanceIndex(values)
+        idx = DominanceIndex(values, _morton_keys(values))
         for _ in range(100):
             rows = rng.integers(0, 20, size=(6, 3)).astype(float)
             d = float(rng.integers(0, 8))
-            any_brute = ((values[None, :, :] - rows[:, None, :]) <= d).all(axis=2).any()
-            assert (idx.decide_many(rows, d) is not None) == any_brute
-            mt = idx.min_tag_many(rows, d)
-            if any_brute:
-                sat = ((values[None, :, :] - rows[:, None, :]) <= d).all(axis=2).any(axis=0)
-                assert mt == np.nonzero(sat)[0].min()
-            else:
-                assert mt is None
+            sat = ((values[None, :, :] - rows[:, None, :]) <= d).all(axis=2).any(axis=0)
+            hit = idx.decide(rows, d)
+            assert (hit is not None) == sat.any()
+            if hit is not None:
+                assert sat[hit]
+            assert idx.nearest(rows) == brute_min_max(values, np.arange(50), rows)[1]
 
     def test_custom_tags(self, rng):
         values = rng.integers(0, 9, size=(20, 2)).astype(float)
         tags = rng.permutation(20)
-        idx = DominanceIndex(values, tags=tags)
+        idx = DominanceIndex(values, _morton_keys(values), tags=tags)
         t = np.array([4.0, 4.0])
-        mask = brute_mask(values, t)
-        if mask.any():
-            assert idx.min_tag_thresholds(t) == tags[mask].min()
+        assert set(idx.collect_thresholds(t).tolist()) == set(tags[brute_mask(values, t)])
+        assert idx.nearest(t) == brute_min_max(values, tags, t)[1]
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
-            DominanceIndex(np.empty((0, 3)))
+            DominanceIndex(np.empty((0, 3)), np.empty(0))
 
-
-class TestSweepMinIndex:
-    def test_matches_brute(self, rng):
-        cond = rng.integers(-10, 10, size=(70, 3)).astype(float)
-        obj = rng.integers(-20, 20, size=70).astype(float)
-        idx = SweepMinIndex(cond, obj)
-        for _ in range(300):
-            t = rng.integers(-10, 10, size=3).astype(float)
-            mask = brute_mask(cond, t)
-            res = idx.min_objective(t)
-            if not mask.any():
-                assert res is None
-            else:
-                v = obj[mask].min()
-                assert res[0] == v
-                assert res[1] == np.nonzero(mask & (obj == v))[0].min()
-
-    def test_objective_ties_across_blocks(self):
-        # many equal objectives force tie resolution to span block boundaries
-        n = 40
-        cond = np.zeros((n, 1))
-        obj = np.zeros(n)
-        idx = SweepMinIndex(cond, obj, block_size=8)
-        res = idx.min_objective(np.array([0.0]))
-        assert res == (0.0, 0)
+    def test_describe_counts_every_array(self, rng):
+        values = rng.normal(size=(100, 3))
+        idx = DominanceIndex(values, _morton_keys(values), block_size=16)
+        info = idx.describe()
+        assert (info["rows"], info["dims"], info["blocks"], info["block_size"]) == (100, 3, 7, 16)
+        arrays = [v for v in vars(idx).values() if isinstance(v, np.ndarray)]
+        assert info["nbytes"] == sum(a.nbytes for a in arrays)
+        assert info["nbytes"] >= values.nbytes
 
 
 class TestMultiLevelTree:
     def test_matches_brute_and_index(self, rng):
         values = rng.integers(0, 25, size=(60, 8)).astype(float)
         tree = MultiLevelTree(values)
-        index = DominanceIndex(values)
+        index = DominanceIndex(values, _morton_keys(values))
         for _ in range(150):
             t = rng.integers(0, 25, size=8).astype(float)
             bounds = [(-math.inf, float(x)) for x in t]
             ref = set(tree.query_tags(bounds).tolist())
             brute = set(np.nonzero(brute_mask(values, t))[0])
             assert ref == brute
-            assert (index.decide_thresholds(t) is not None) == bool(brute)
+            assert (index.decide(t, 0.0) is not None) == bool(brute)
 
     def test_two_sided_intervals(self, rng):
         values = rng.integers(0, 20, size=(40, 3)).astype(float)
