@@ -1,9 +1,10 @@
 """(1+eps)-approximate search under the Euclidean metric.
 
-Exact sublinear search under L2 is out of reach, but two approximations
-work well: an exponential-grid snapping of segment endpoints (fixed
-radius r, answer within (1+eps)r when anything is within r), and regular
-k-gon outer bodies replacing squares for curve queries over segments.
+Two approximations: an exponential-grid snapping of segment endpoints
+(fixed radius r, answer within (1+eps)r when anything is within r), and
+regular k-gon outer bodies replacing squares for curve queries over
+segments.  Exact L2 segment queries filter with the L-inf index, since
+d_inf <= d_2, and refine the survivors.
 """
 
 import math
@@ -16,7 +17,7 @@ from curveq import (
     ExponentialGrid,
     KgonStructure,
     Segment,
-    ann_ladder_query,
+    SegmentQueryIndex,
     dfd_segment_curve,
     kgon_sides,
 )
@@ -37,9 +38,8 @@ for eps in (1.0, 0.25):
     hit = AnnStructure(curves, eps, r).query(s)
     print(f"  (1+{eps}, r={r:.4g})-structure -> {hit[0]}, certified <= {hit[1]:.6g}")
 
-cid, d = ann_ladder_query(curves, 0.5, s, 0.5, 100.0)
-print(f"  radius ladder (eps=0.5) -> {cid}, true distance {d:.6g} "
-      f"(<= {1.5**2:.2f}x exact = {2.25 * exact:.6g})")
+cid, d = SegmentQueryIndex(curves).nearest_l2(s)
+print(f"  exact (L-inf filter, L2 refine) -> {cid}, distance {d:.6g}")
 
 print("\nk-gon structure: curve query over segments")
 segs = [Segment(f"s{k}", rng.integers(0, 40, 2), rng.integers(0, 40, 2)) for k in range(25)]

@@ -30,7 +30,6 @@ from .nn_l2 import (
     AnnStructure,
     ExponentialGrid,
     KgonStructure,
-    ann_ladder_query,
     kgon_sides,
 )
 from .center import (
@@ -53,8 +52,7 @@ __all__ = [
     "circumcircle", "circle_intersections",
     "SegmentQueryIndex", "SegmentInputIndex", "rect_key_table",
     "TranslationCurveIndex", "TranslationSegmentIndex", "translation_key_table",
-    "ExponentialGrid", "AnnStructure",
-    "ann_ladder_query", "kgon_sides", "KgonStructure",
+    "ExponentialGrid", "AnnStructure", "kgon_sides", "KgonStructure",
     "CenterSolution", "center_linf", "center_linf_translation",
     "r_lower_bound", "candidate_radii", "center_l2_decision", "center_l2",
     "load_curves", "save_curves", "as_segments", "ResultRecord",

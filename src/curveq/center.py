@@ -52,6 +52,9 @@ __all__ = [
 
 _PAIRINGS = ((1, 1), (1, -1), (-1, 1), (-1, -1))
 _L2_TOL = 1e-9  # slack for within-r checks; absorbs sqrt rounding
+# candidate_radii loops over every vertex triple in Python (about 550k
+# triples at 150 vertices), so larger inputs are refused
+MAX_RADII_VERTICES = 150
 
 
 @dataclass(frozen=True, eq=False)
@@ -415,12 +418,18 @@ def candidate_radii(curves: Sequence[Curve]) -> np.ndarray:
     Zero, half the distance of every vertex pair, and the circumradius of
     every acute vertex triple: the optimal radius is the radius of a
     minimum enclosing ball of some vertex subset, whose support is one,
-    two, or three (acute) vertices.
+    two, or three (acute) vertices.  Raises ValueError above
+    ``MAX_RADII_VERTICES`` vertices in total.
     """
     pts = np.vstack([_pts_any(c) for c in curves])
     n = pts.shape[0]
     if n == 0:
         raise ValueError("candidate_radii requires at least one vertex")
+    if n > MAX_RADII_VERTICES:
+        raise ValueError(
+            f"L2 center of {n} vertices refused: candidate radii enumerate "
+            f"O(n^3) vertex triples, limit {MAX_RADII_VERTICES} vertices"
+        )
     vals = [0.0]
     for i in range(n):
         for j in range(i + 1, n):

@@ -7,7 +7,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
 import time
 from typing import Optional, Sequence
@@ -18,7 +17,7 @@ from . import oracles
 from .center import center_l2, center_linf, center_linf_translation
 from .dataio import ResultRecord, as_segments, fmt, load_curves
 from .geometry import Curve, Segment, dfd_dp
-from .nn_l2 import AnnStructure, KgonStructure, ann_ladder_query
+from .nn_l2 import AnnStructure, KgonStructure
 from .nn_linf import SegmentQueryIndex, SegmentInputIndex
 from .nn_translation import TranslationCurveIndex, TranslationSegmentIndex
 
@@ -142,22 +141,12 @@ def _segment_query_answerer(args, data: list[Curve]):
     if args.metric == "linf":
         index = TranslationCurveIndex(data) if args.translation else SegmentQueryIndex(data)
         return index.nearest
-    if args.radius is not None:
-        ann = AnnStructure(data, args.epsilon, args.radius)
-
-        def answer(s: Segment):
-            hit = ann.query(s)
-            return (None, None) if hit is None else hit
-
-        return answer
-
-    allpts = np.vstack([c.pts for c in data])
+    if args.radius is None:
+        return SegmentQueryIndex(data).nearest_l2
+    ann = AnnStructure(data, args.epsilon, args.radius)
 
     def answer(s: Segment):
-        pts = np.vstack([allpts, s.a, s.b])
-        spread = float(np.max(pts.max(axis=0) - pts.min(axis=0)))
-        rmax = max(math.sqrt(2.0) * spread, 1e-9)
-        hit = ann_ladder_query(data, args.epsilon, s, rmax * 2.0 ** -40, rmax)
+        hit = ann.query(s)
         return (None, None) if hit is None else hit
 
     return answer

@@ -6,11 +6,8 @@
   every same-curve cell pair (g, h) is annotated with the input curve
   closest to the segment of cell centers.  A query locates the cells of
   a and b and returns the best annotation: when some curve is within r,
-  the answer is within (1+eps)*r.
-
-* :func:`ann_ladder_query`: wraps the fixed-radius structure in a
-  geometric radius ladder and certifies each hit with one exact distance
-  evaluation, giving d~ <= (1+eps)^2 * d* for d* in [rmin, rmax].
+  the answer is within (1+eps)*r.  Exact L2 segment queries without a
+  radius go through :meth:`curveq.nn_linf.SegmentQueryIndex.nearest_l2`.
 
 * :class:`KgonStructure`: curve queries over segments.  Replaces the
   L-infinity squares by regular k-gons with k chosen so that
@@ -28,14 +25,13 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .geometry import Curve, Segment, dfd_segment_curve
-from .nn_linf import _morton_keys, _ranked_ids
+from .geometry import Curve, Segment
+from .nn_linf import _morton_keys, _segment_table
 from .rangetree import DominanceIndex
 
 __all__ = [
     "ExponentialGrid",
     "AnnStructure",
-    "ann_ladder_query",
     "kgon_sides",
     "KgonStructure",
 ]
@@ -197,32 +193,6 @@ class AnnStructure:
         return self.curves[best[1]].id, (1.0 + self.eps) * self.r
 
 
-def ann_ladder_query(curves: Sequence[Curve], eps: float, s: Segment,
-                     rmin: float, rmax: float) -> Optional[tuple[str, float]]:
-    """Approximate nearest curve via a geometric ladder of radii.
-
-    Builds fixed-radius structures for r = rmin * (1+eps)^t and returns
-    the first certified hit (the witness's exact distance is checked
-    against (1+eps)*r, one O(m) evaluation per rung).  When the true
-    optimum d* lies in [rmin, rmax] the returned distance is at most
-    (1+eps)^2 * d*; outside that range None is possible.
-    """
-    if not 0 < rmin <= rmax:
-        raise ValueError("need 0 < rmin <= rmax")
-    by_id = {c.id: c for c in curves}
-    r = float(rmin)
-    while True:
-        hit = AnnStructure(curves, eps, r).query(s)
-        if hit is not None:
-            cid = hit[0]
-            true_d = dfd_segment_curve(s, by_id[cid], "l2")[0]
-            if true_d <= (1.0 + eps) * r:
-                return cid, true_d
-        if r >= rmax:
-            return None
-        r *= 1.0 + eps
-
-
 # ---------------------------------------------------------------------------
 # k-gon structure: curve queries over segments
 # ---------------------------------------------------------------------------
@@ -248,16 +218,11 @@ class KgonStructure:
     """
 
     def __init__(self, segments: Sequence[Segment], eps: float):
-        segments = list(segments)
-        if not segments:
-            raise ValueError("k-gon structure requires a non-empty segment list")
+        self.ids_by_rank, ranks, a, b = _segment_table(list(segments), "k-gon structure")
         self.eps = float(eps)
         self.k = kgon_sides(eps)
         ang = 2.0 * math.pi * np.arange(self.k) / self.k
         self.normals = np.column_stack([np.cos(ang), np.sin(ang)])
-        self.ids_by_rank, ranks = _ranked_ids([s.id for s in segments])
-        a = np.array([s.a for s in segments])
-        b = np.array([s.b for s in segments])
         self._index = DominanceIndex(
             np.hstack([a @ self.normals.T, b @ self.normals.T]),
             tags=ranks,

@@ -19,6 +19,12 @@ distance is a single difference of an input coordinate and a query
 coordinate, so results agree bit-for-bit with a brute-force scan
 computing the same differences; ties break to the lexicographically
 smallest id.
+
+:meth:`SegmentQueryIndex.nearest_l2` answers exact L2 segment queries
+with the same keys: at every split d_inf <= d_2, so the L-inf winner's L2
+distance U bounds the answer and every curve with an L2 distance at most
+U has a key within U under L-inf.  Those curves are refined with
+:func:`~curveq.geometry.dfd_segment_curve`.
 """
 
 from __future__ import annotations
@@ -28,7 +34,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .geometry import Curve, Segment, partition_profile
+from .geometry import Curve, Segment, dfd_segment_curve, partition_profile
 from .rangetree import DominanceIndex
 
 __all__ = ["RectKeyTable", "rect_key_table", "SegmentQueryIndex", "SegmentInputIndex"]
@@ -49,6 +55,17 @@ def _ranked_ids(ids: Sequence[str]) -> tuple[list[str], np.ndarray]:
     ranks = np.empty(len(ids), dtype=int)
     ranks[order] = np.arange(len(ids))
     return [ids[k] for k in order], ranks
+
+
+def _segment_table(segments: Sequence[Segment], what: str):
+    """``(ids_by_rank, ranks, a, b)`` of a non-empty segment list, with
+    the endpoints as (n, 2) arrays in input order."""
+    if not segments:
+        raise ValueError(f"{what} requires a non-empty segment list")
+    ids_by_rank, ranks = _ranked_ids([s.id for s in segments])
+    a = np.array([s.a for s in segments])
+    b = np.array([s.b for s in segments])
+    return ids_by_rank, ranks, a, b
 
 
 @dataclass(frozen=True, eq=False)
@@ -139,10 +156,13 @@ def _morton_keys(values: np.ndarray, bits: int = 8) -> np.ndarray:
 
 
 class SegmentQueryIndex:
-    """Curve set indexed for exact L-inf nearest-curve segment queries."""
+    """Curve set indexed for exact nearest-curve segment queries under
+    L-inf (:meth:`nearest`) and L2 (:meth:`nearest_l2`)."""
 
     def __init__(self, curves: Sequence[Curve]):
-        self.table = rect_key_table(list(curves))
+        curves = list(curves)
+        self.table = rect_key_table(curves)
+        self._curves = sorted(curves, key=lambda c: c.id)  # rank order
         self._index = (
             DominanceIndex(
                 self.table.values,
@@ -181,17 +201,32 @@ class SegmentQueryIndex:
         best, tag = self._index.nearest(_shift8(s.a, s.b))
         return self.table.ids_by_rank[tag], best
 
+    def nearest_l2(self, s: Segment) -> tuple[str, float]:
+        """Closest curve under the L2 metric and its exact distance.
+
+        The L-inf winner's L2 distance U bounds the answer.  Every curve
+        at L2 distance at most U has a key within U under L-inf, since
+        d_inf <= d_2 at every split, so the keys below ``shift + U``
+        hold all candidates.  U is padded by a relative 1e-9 so that
+        rounding in U drops none; the padding can only add candidates.
+        Each candidate curve is refined once; ties go to the smallest id.
+        """
+        if self._index is None:
+            raise ValueError("nearest query on an empty structure")
+        shift = _shift8(s.a, s.b)
+        _, tag = self._index.nearest(shift)
+        bound = dfd_segment_curve(s, self._curves[tag], "l2")[0]
+        ranks = np.unique(self._index.collect_thresholds(shift + bound * (1.0 + 1e-9)))
+        best, rank = min((dfd_segment_curve(s, self._curves[k], "l2")[0], k)
+                         for k in ranks.tolist())
+        return self.table.ids_by_rank[rank], best
+
 
 class SegmentInputIndex:
     """Segment set indexed by endpoint 4-tuples for exact L-inf curve queries."""
 
     def __init__(self, segments: Sequence[Segment]):
-        segments = list(segments)
-        if not segments:
-            raise ValueError("segment structure requires a non-empty segment list")
-        self.ids_by_rank, ranks = _ranked_ids([s.id for s in segments])
-        a = np.array([s.a for s in segments])
-        b = np.array([s.b for s in segments])
+        self.ids_by_rank, ranks, a, b = _segment_table(list(segments), "segment structure")
         values = np.column_stack(
             [a[:, 0], -a[:, 0], a[:, 1], -a[:, 1], b[:, 0], -b[:, 0], b[:, 1], -b[:, 1]]
         )

@@ -32,7 +32,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .geometry import Curve, Segment, partition_profile
-from .nn_linf import _describe, _morton_keys, _ranked_ids
+from .nn_linf import _describe, _morton_keys, _ranked_ids, _segment_table
 from .rangetree import DominanceIndex
 
 __all__ = [
@@ -151,11 +151,8 @@ class TranslationSegmentIndex:
     """Segment set (as difference points) for curve queries under translation."""
 
     def __init__(self, segments: Sequence[Segment]):
-        segments = list(segments)
-        if not segments:
-            raise ValueError("segment structure requires a non-empty segment list")
-        self.ids_by_rank, ranks = _ranked_ids([s.id for s in segments])
-        c = np.array([s.b for s in segments]) - np.array([s.a for s in segments])
+        self.ids_by_rank, ranks, a, b = _segment_table(list(segments), "segment structure")
+        c = b - a
         self._index = DominanceIndex(
             np.column_stack([-c[:, 0], c[:, 0], -c[:, 1], c[:, 1]]),
             tags=ranks,

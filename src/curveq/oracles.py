@@ -10,7 +10,6 @@ one of these.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from typing import Sequence, Union
 
 import numpy as np
@@ -26,30 +25,11 @@ from .geometry import (
 )
 
 __all__ = [
-    "OracleReport",
     "nn_brute",
     "BruteForceNN",
     "translation_distance_brute",
     "center_brute",
 ]
-
-
-@dataclass(frozen=True)
-class OracleReport:
-    """Outcome of one oracle-vs-structure comparison."""
-
-    description: str
-    oracle_answer: tuple
-    structure_answer: tuple
-    discrepancy: float
-    tolerance: float = 0.0
-
-    @property
-    def match(self) -> bool:
-        return (
-            self.discrepancy <= self.tolerance
-            and self.oracle_answer[0] == self.structure_answer[0]
-        )
 
 
 def translation_distance_brute(s: Segment, c: Curve) -> float:

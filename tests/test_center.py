@@ -17,7 +17,7 @@ from curveq import (
     partition_profile,
     r_lower_bound,
 )
-from curveq.center import PrefixBitTree
+from curveq.center import MAX_RADII_VERTICES, PrefixBitTree
 from conftest import rand_curve, rand_curves
 
 
@@ -217,6 +217,13 @@ class TestCandidateRadii:
             opt = l2_center_oracle(curves)
             radii = candidate_radii(curves)
             assert np.min(np.abs(radii - opt)) <= 1e-9
+
+    def test_too_many_vertices_refused(self):
+        n = MAX_RADII_VERTICES // 2 + 1
+        curves = [Curve(c, np.arange(2.0 * n).reshape(n, 2)) for c in "ab"]
+        for solve in (candidate_radii, center_l2):
+            with pytest.raises(ValueError, match=f"{2 * n} vertices refused"):
+                solve(curves)
 
 
 class TestCenterL2:

@@ -177,17 +177,19 @@ def dataset(draw, kind):
     return items, queries, unit
 
 
-@pytest.mark.parametrize("structure, translation", [
-    (SegmentQueryIndex, False),
-    (TranslationCurveIndex, True),
+@pytest.mark.parametrize("structure, translation, metric", [
+    pytest.param(SegmentQueryIndex, False, "linf", id="SegmentQueryIndex-False"),
+    pytest.param(TranslationCurveIndex, True, "linf", id="TranslationCurveIndex-True"),
+    pytest.param(SegmentQueryIndex, False, "l2", id="SegmentQueryIndex-nearest_l2"),
 ])
 @SETTINGS
 @given(data=dataset("curve"))
-def test_curve_structures_match_oracle(structure, translation, data):
+def test_curve_structures_match_oracle(structure, translation, metric, data):
     curves, queries, _ = data
     idx = structure(curves)
+    nearest = idx.nearest_l2 if metric == "l2" else idx.nearest
     for s in queries:
-        assert idx.nearest(s) == nn_brute(curves, s, "linf", translation=translation)
+        assert nearest(s) == nn_brute(curves, s, metric, translation=translation)
 
 
 @pytest.mark.parametrize("structure, translation", [

@@ -1,6 +1,3 @@
-import math
-
-import numpy as np
 import pytest
 
 from curveq import (
@@ -11,7 +8,6 @@ from curveq import (
     dfd_segment_curve,
     rect_key_table,
 )
-from curveq.rangetree import MultiLevelTree
 from conftest import rand_curve, rand_curves, rand_segment, rand_segments
 
 
@@ -113,19 +109,6 @@ class TestSegmentQueryIndex:
             Curve("aa", [[0, 1], [10, 1]]),
         ])
         assert idx.nearest(Segment("s", [0, 0], [10, 0]))[0] == "aa"
-
-    def test_agrees_with_reference_multilevel_tree(self, rng):
-        curves = rand_curves(rng, 8, 5)
-        idx = SegmentQueryIndex(curves)
-        tree = MultiLevelTree(idx.table.values, tags=idx.table.tags)
-        for _ in range(40):
-            s = rand_segment(rng, "q")
-            d = float(rng.integers(0, 150))
-            shifts = np.array([s.a[0], -s.a[0], s.a[1], -s.a[1],
-                               s.b[0], -s.b[0], s.b[1], -s.b[1]])
-            bounds = [(-math.inf, sh + d) for sh in shifts]
-            ref = tree.query_tags(bounds)
-            assert (idx.decide(s, d) is not None) == bool(ref.size)
 
 
 class TestSegmentInputIndex:

@@ -4,7 +4,6 @@ import pytest
 from curveq import Curve, Segment, dfd_segment_curve
 from curveq.oracles import (
     BruteForceNN,
-    OracleReport,
     center_brute,
     nn_brute,
     translation_distance_brute,
@@ -82,13 +81,3 @@ class TestCenterBrute:
         cs = [Curve(f"c{k}", np.arange(42).reshape(21, 2)) for k in range(5)]
         with pytest.raises(ValueError, match="refuses"):
             center_brute(cs, "linf")
-
-
-class TestOracleReport:
-    def test_match_logic(self):
-        r = OracleReport("q1", ("a", 1.0), ("a", 1.0), 0.0)
-        assert r.match
-        r = OracleReport("q1", ("a", 1.0), ("b", 1.0), 0.0)
-        assert not r.match
-        r = OracleReport("q1", ("a", 1.0), ("a", 1.5), 0.5, tolerance=0.1)
-        assert not r.match

@@ -1,13 +1,7 @@
-import math
-
 import numpy as np
 import pytest
 
-from curveq.rangetree import (
-    DominanceIndex,
-    MultiLevelSegmentTree,
-    MultiLevelTree,
-)
+from curveq.rangetree import DominanceIndex
 from curveq.nn_linf import _morton_keys
 from conftest import brute_min_max
 
@@ -76,102 +70,3 @@ class TestDominanceIndex:
         arrays = [v for v in vars(idx).values() if isinstance(v, np.ndarray)]
         assert info["nbytes"] == sum(a.nbytes for a in arrays)
         assert info["nbytes"] >= values.nbytes
-
-
-class TestMultiLevelTree:
-    def test_matches_brute_and_index(self, rng):
-        values = rng.integers(0, 25, size=(60, 8)).astype(float)
-        tree = MultiLevelTree(values)
-        index = DominanceIndex(values, _morton_keys(values))
-        for _ in range(150):
-            t = rng.integers(0, 25, size=8).astype(float)
-            bounds = [(-math.inf, float(x)) for x in t]
-            ref = set(tree.query_tags(bounds).tolist())
-            brute = set(np.nonzero(brute_mask(values, t))[0])
-            assert ref == brute
-            assert (index.decide(t, 0.0) is not None) == bool(brute)
-
-    def test_two_sided_intervals(self, rng):
-        values = rng.integers(0, 20, size=(40, 3)).astype(float)
-        tree = MultiLevelTree(values)
-        for _ in range(150):
-            lo = rng.integers(0, 15, size=3).astype(float)
-            hi = lo + rng.integers(0, 10, size=3)
-            bounds = list(zip(lo, hi))
-            ref = set(tree.query_tags(bounds).tolist())
-            brute = ((values >= lo) & (values <= hi)).all(axis=1)
-            assert ref == set(np.nonzero(brute)[0])
-
-    def test_canonical_decomposition_properties(self, rng):
-        values = rng.integers(0, 100, size=(64, 2)).astype(float)
-        tree = MultiLevelTree(values)
-        logn = math.log2(64)
-        for t in (0.0, 17.0, 50.0, 99.0, 120.0):
-            sets = tree.level1_canonical_sets(-math.inf, t)
-            # union equals the brute filter and the sets are disjoint
-            union = [x for s in sets for x in s.tolist()]
-            assert len(union) == len(set(union))
-            assert set(union) == set(np.nonzero(values[:, 0] <= t)[0])
-            # one-sided decompositions touch O(log N) canonical nodes
-            assert len(sets) <= 2 * logn + 2
-
-    def test_membership_multiplicity(self, rng):
-        # every row appears in O(log N) level-1 canonical subsets overall:
-        # count how many ancestors it has (canonical nodes it belongs to)
-        values = rng.integers(0, 50, size=(33, 1)).astype(float)
-        tree = MultiLevelTree(values)
-        lt = tree._tree
-        counts = np.zeros(33, dtype=int)
-
-        def walk(node):
-            if node is None:
-                return
-            counts[lt.idx[node.lo:node.hi]] += 1
-            walk(node.left)
-            walk(node.right)
-
-        walk(lt.root)
-        assert counts.max() <= math.ceil(math.log2(33)) + 1
-
-    def test_entry_guard(self, rng):
-        values = rng.normal(size=(200, 8))
-        with pytest.raises(MemoryError):
-            MultiLevelTree(values, entry_guard=1000)
-
-
-class TestMultiLevelSegmentTree:
-    def test_matches_brute(self, rng):
-        n = 50
-        iv1 = np.sort(rng.uniform(0, 10, size=(n, 2)), axis=1)
-        iv2 = np.sort(rng.uniform(0, 10, size=(n, 2)), axis=1)
-        scores = rng.uniform(0, 1, n)
-        tree = MultiLevelSegmentTree([iv1, iv2], scores)
-        for _ in range(300):
-            x, y = rng.uniform(-1, 11, size=2)
-            mask = ((iv1[:, 0] <= x) & (x <= iv1[:, 1])
-                    & (iv2[:, 0] <= y) & (y <= iv2[:, 1]))
-            res = tree.query_min([x, y])
-            if not mask.any():
-                assert res is None
-            else:
-                assert res[0] == scores[mask].min()
-
-    def test_closed_endpoints_stab(self):
-        iv = np.array([[1.0, 3.0]])
-        tree = MultiLevelSegmentTree([iv], [7.0])
-        assert tree.query_min([1.0]) == (7.0, 0)
-        assert tree.query_min([3.0]) == (7.0, 0)
-        assert tree.query_min([0.999]) is None
-
-    def test_node_annotations_are_subset_minima(self, rng):
-        n = 30
-        iv1 = np.sort(rng.uniform(0, 5, size=(n, 2)), axis=1)
-        iv2 = np.sort(rng.uniform(0, 5, size=(n, 2)), axis=1)
-        scores = rng.uniform(0, 1, n)
-        tree = MultiLevelSegmentTree([iv1, iv2], scores)
-        seen = 0
-        for items, (val, tag) in tree.bottom_nodes():
-            assert val == scores[items].min()
-            assert tag in items
-            seen += 1
-        assert seen > 0
