@@ -6,8 +6,11 @@ inside the ball around b.  Three exact solvers:
 
 * :func:`center_linf` -- fixed positions, squares.  An optimal prefix (or
   suffix) square can be anchored at a corner of the global bounding
-  rectangle, so eight corner/role sweeps over vertices sorted by
-  L-infinity distance from the corner cover all optima.
+  rectangle, so eight corner/role sweeps cover all optima.  A sweep gives
+  every vertex a key, the smallest side of the corner square that puts
+  it in its curve's prefix (a running max of L-infinity distances from
+  the corner), and scores each key as a side with the suffix extrema
+  taken in key order; O(nm log nm) in all.
 
 * :func:`center_linf_translation` -- every curve may translate.  Both
   squares anchor at opposite corners of the rectangle spanned by the
@@ -41,7 +44,6 @@ from .geometry import (
 
 __all__ = [
     "CenterSolution",
-    "PrefixBitTree",
     "center_linf",
     "center_linf_translation",
     "r_lower_bound",
@@ -95,191 +97,44 @@ def _validate(curves: Sequence[Curve]) -> list[Curve]:
 # fixed-position L-infinity center
 # ---------------------------------------------------------------------------
 
-class PrefixBitTree:
-    """Covered bits over a curve's vertices with AND-aggregating internals.
+def _prefix_keys(sizes: np.ndarray, offsets: np.ndarray, d: np.ndarray) -> np.ndarray:
+    """Smallest square side at which each vertex joins its curve's prefix.
 
-    Supports setting a bit (0 -> 1 only) and querying the longest
-    all-ones prefix, both in O(log m).
+    ``d`` holds every vertex's L-inf distance from the corner, curve by
+    curve.  Vertex i joins once the side covers vertices 0..i, so its key
+    is their running max; a last vertex never joins (key +inf).
     """
-
-    def __init__(self, m: int):
-        size = 1
-        while size < m:
-            size *= 2
-        self._size = size
-        self._m = m
-        self._t = bytearray(2 * size)  # leaves at [size, size+m); padding stays 0
-
-    def set(self, i: int) -> None:
-        k = self._size + i
-        self._t[k] = 1
-        k >>= 1
-        while k:
-            v = self._t[2 * k] & self._t[2 * k + 1]
-            if self._t[k] == v:
-                break
-            self._t[k] = v
-            k >>= 1
-
-    def longest_one_prefix(self) -> int:
-        """Largest L with bits 0..L-1 all set."""
-        t = self._t
-        if t[1]:
-            return self._m
-        k = 1
-        span = self._size
-        count = 0
-        while k < self._size:
-            span >>= 1
-            left = 2 * k
-            if t[left]:
-                count += span
-                k = left + 1
-            else:
-                k = left
-        return count + t[k]
+    owner = np.repeat(np.arange(len(sizes)), sizes)
+    vals, rank = np.unique(d, return_inverse=True)
+    # lifting each curve's ranks above every earlier curve's makes one
+    # running max over the flat array restart at each curve
+    lift = owner * len(vals)
+    keys = vals[np.maximum.accumulate(lift + rank) - lift]
+    keys[offsets + sizes - 1] = np.inf
+    return keys
 
 
-class _ExtentTracker:
-    """Min/max coordinates of the live suffix vertices, amortized O(1).
+def _corner_sweep(flat: np.ndarray, keys: np.ndarray, r0: float) -> tuple[float, float]:
+    """Best (cost, square side) over squares anchored at one corner.
 
-    Orders over the flat vertex array are precomputed; deletions mark a
-    vertex dead and the four boundary pointers advance lazily.  Only
-    deletions occur during a sweep, so the pointers never move back.
+    The square of side s holds every vertex with key <= s; the rest form
+    the suffixes.  Sides below ``r0`` miss some first vertex, and between
+    consecutive keys the suffix extents do not change, so the candidates
+    are ``r0`` and every finite key above it.  A candidate costs
+    max(side, suffix x extent, suffix y extent) / 2; the first minimum in
+    ascending side order wins.
     """
-
-    def __init__(self, coords: np.ndarray, order_x, order_y, alive: list):
-        self._x = coords[:, 0].tolist()
-        self._y = coords[:, 1].tolist()
-        self._ox = order_x
-        self._oy = order_y
-        self._alive = alive
-        self._ix, self._jx = 0, len(order_x) - 1
-        self._iy, self._jy = 0, len(order_y) - 1
-
-    def delete(self, flat: int) -> None:
-        self._alive[flat] = False
-
-    def extents(self) -> tuple[float, float]:
-        a, ox, oy = self._alive, self._ox, self._oy
-        while not a[ox[self._ix]]:
-            self._ix += 1
-        while not a[ox[self._jx]]:
-            self._jx -= 1
-        while not a[oy[self._iy]]:
-            self._iy += 1
-        while not a[oy[self._jy]]:
-            self._jy -= 1
-        return (
-            self._x[ox[self._jx]] - self._x[ox[self._ix]],
-            self._y[oy[self._jy]] - self._y[oy[self._iy]],
-        )
-
-
-class _SweepData:
-    """Shared per-direction arrays for the corner sweeps."""
-
-    def __init__(self, curves: Sequence[Curve]):
-        self.curves = curves
-        self.sizes = [len(c) for c in curves]
-        self.offsets = np.cumsum([0] + self.sizes[:-1])
-        self.flat = np.vstack([c.pts for c in curves])
-        self.order_x = np.argsort(self.flat[:, 0], kind="stable").tolist()
-        self.order_y = np.argsort(self.flat[:, 1], kind="stable").tolist()
-        self.first_idx = self.offsets
-        interior = []
-        owner = []
-        vpos = []
-        for j, (off, m) in enumerate(zip(self.offsets, self.sizes)):
-            idx = np.arange(off + 1, off + m - 1)
-            interior.append(idx)
-            owner.append(np.full(len(idx), j))
-            vpos.append(np.arange(1, m - 1))
-        self.interior = np.concatenate(interior) if interior else np.empty(0, dtype=int)
-        self.owner = np.concatenate(owner) if owner else np.empty(0, dtype=int)
-        self.vpos = np.concatenate(vpos) if vpos else np.empty(0, dtype=int)
-        # plain lists index much faster in the sweep's hot loop
-        self.owner_list = self.owner.tolist()
-        self.vpos_list = self.vpos.tolist()
-
-
-def _corner_sweep(data: _SweepData, corner: np.ndarray) -> tuple[float, float]:
-    """Best (cost, square side) over candidate squares anchored at corner.
-
-    Candidate radii are half the L-inf distances from the corner to the
-    non-endpoint vertices, plus the smallest radius admitting every first
-    vertex.  Cost of a candidate is max(prefix square radius, half the
-    suffix-union extent); candidates too small for some first vertex are
-    infeasible and skipped.
-    """
-    d_all = np.max(np.abs(data.flat - corner), axis=1)
-    r0_val = float(d_all[data.first_idx].max())
-    ev = d_all[data.interior]
-    order = np.argsort(ev, kind="stable").tolist()
-    ev_sorted = ev[order].tolist()
-    owner, vpos = data.owner_list, data.vpos_list
-    offsets = data.offsets.tolist()
-
-    trees = [PrefixBitTree(m) for m in data.sizes]
-    prefix_len = [1] * len(data.sizes)
-    for t in trees:
-        t.set(0)
-    alive = [True] * len(data.flat)
-    for f in data.first_idx:
-        alive[f] = False
-    tracker = _ExtentTracker(data.flat, data.order_x, data.order_y, alive)
-
-    best = (math.inf, math.inf)
-
-    def evaluate(val: float) -> None:
-        nonlocal best
-        xext, yext = tracker.extents()
-        cost = max(val, xext, yext) / 2.0
-        if cost < best[0]:
-            best = (cost, val)
-
-    done_r0 = False
-    k = 0
-    n_ev = len(order)
-    while k < n_ev:
-        val = ev_sorted[k]
-        if not done_r0 and val > r0_val:
-            evaluate(r0_val)
-            done_r0 = True
-        # apply the whole group of equal sweep values before evaluating
-        while k < n_ev and ev_sorted[k] == val:
-            e = order[k]
-            j = owner[e]
-            i = vpos[e]
-            trees[j].set(i)
-            if i == prefix_len[j]:
-                new_len = trees[j].longest_one_prefix()
-                off = offsets[j]
-                for v in range(prefix_len[j], new_len):
-                    tracker.delete(off + v)
-                prefix_len[j] = new_len
-            k += 1
-        if val >= r0_val:
-            evaluate(val)
-            if val == r0_val:
-                done_r0 = True
-    if not done_r0:
-        evaluate(r0_val)
-    return best
-
-
-def _splits_at(curves: Sequence[Curve], corner: np.ndarray, val: float) -> list[int]:
-    """Longest covered prefix per curve for the square of side val at corner."""
-    splits = []
-    for c in curves:
-        d = np.max(np.abs(c.pts - corner), axis=1)
-        length = 1
-        for i in range(1, len(c) - 1):
-            if d[i] > val:
-                break
-            length = i + 1
-        splits.append(length)
-    return splits
+    order = np.argsort(keys, kind="stable")
+    ks = keys[order]
+    rev = flat[order][::-1]  # suffix extrema in key order
+    hi = np.maximum.accumulate(rev, axis=0)[::-1]
+    lo = np.minimum.accumulate(rev, axis=0)[::-1]
+    sides = np.concatenate(([r0], ks[(ks >= r0) & (ks < np.inf)]))
+    first = np.searchsorted(ks, sides, side="right")  # last vertices keep this in range
+    ext = (hi[first] - lo[first]).max(axis=1)
+    cost = np.maximum(sides, ext) / 2.0
+    k = int(np.argmin(cost))
+    return float(cost[k]), float(sides[k])
 
 
 def _bbox_center(pts: np.ndarray) -> np.ndarray:
@@ -290,39 +145,43 @@ def center_linf(curves: Sequence[Curve]) -> CenterSolution:
     """Exact (1,2)-Center under L-infinity, O(nm log nm).
 
     Four corner sweeps on the curves and four on their reversals cover
-    the prefix-determined and suffix-determined optima.  Ties break by
-    smallest radius, then (role, corner index, sweep position).
+    the prefix-determined and suffix-determined optima.  Each sweep gives
+    every vertex a key, the square side at which it joins its curve's
+    prefix, and scores the candidate sides with suffix extrema taken in
+    key order.  Ties break by smallest radius, then (role, corner index,
+    side).
     """
     curves = _validate(curves)
-    allpts = np.vstack([c.pts for c in curves])
-    lo, hi = allpts.min(axis=0), allpts.max(axis=0)
+    sizes = np.array([len(c) for c in curves])
+    offsets = np.concatenate(([0], np.cumsum(sizes)[:-1]))
+    flats = (np.vstack([c.pts for c in curves]), np.vstack([c.pts[::-1] for c in curves]))
+    lo, hi = flats[0].min(axis=0), flats[0].max(axis=0)
     corners = [np.array([lo[0], lo[1]]), np.array([hi[0], lo[1]]),
                np.array([lo[0], hi[1]]), np.array([hi[0], hi[1]])]
 
-    best = None  # (cost, role, corner_idx, val)
-    for role, cs in enumerate((curves, [c.reversed() for c in curves])):
-        data = _SweepData(cs)
+    best = None  # ((cost, role, corner_idx, side), keys)
+    for role, flat in enumerate(flats):
         for ci, corner in enumerate(corners):
-            cost, val = _corner_sweep(data, corner)
-            cand = (cost, role, ci, val)
-            if best is None or cand < best:
-                best = cand
-    cost, role, ci, val = best
+            d = np.abs(flat - corner).max(axis=1)
+            keys = _prefix_keys(sizes, offsets, d)
+            cost, side = _corner_sweep(flat, keys, float(d[offsets].max()))
+            cand = (cost, role, ci, side)
+            if best is None or cand < best[0]:
+                best = (cand, keys)
+    (cost, role, _, side), keys = best
 
-    cs = curves if role == 0 else [c.reversed() for c in curves]
-    splits = _splits_at(cs, corners[ci], val)
-    pre = np.vstack([c.pts[:s] for c, s in zip(cs, splits)])
-    suf = np.vstack([c.pts[s:] for c, s in zip(cs, splits)])
-    a, b = _bbox_center(pre), _bbox_center(suf)
+    in_pre = keys <= side
+    splits = np.add.reduceat(in_pre.astype(int), offsets)
+    a, b = _bbox_center(flats[role][in_pre]), _bbox_center(flats[role][~in_pre])
     if role == 1:  # reversed curves: map splits and swap the ball roles
-        splits = [len(c) - s for c, s in zip(cs, splits)]
+        splits = sizes - splits
         a, b = b, a
     return CenterSolution(
         metric="linf",
         a=a,
         b=b,
         radius=float(cost),
-        splits={c.id: s for c, s in zip(curves, splits)},
+        splits={c.id: int(s) for c, s in zip(curves, splits)},
         translations={c.id: np.zeros(2) for c in curves},
     )
 

@@ -36,6 +36,10 @@ __all__ = [
     "KgonStructure",
 ]
 
+# AnnStructure's annotation compares every same-curve cell pair with every
+# split of every curve; builds above this many comparisons are refused
+MAX_ANN_COMPARISONS = 10**8
+
 
 class ExponentialGrid:
     """Concentric annulus grids of doubling scale around a center point.
@@ -131,7 +135,8 @@ class AnnStructure:
 
     Build cost is dominated by annotating every same-curve cell pair with
     its nearest input curve (distance computed exactly per pair), i.e.
-    O(n^2 K^2 m) point distances for K cells per grid.
+    O(n^2 K^2 m) point distances for K cells per grid.  Raises
+    ValueError when that count exceeds ``MAX_ANN_COMPARISONS``.
     """
 
     def __init__(self, curves: Sequence[Curve], eps: float, r: float):
@@ -149,6 +154,13 @@ class AnnStructure:
         alpha = eps * r / (2.0 * math.sqrt(2.0))
         self.grids_first = [ExponentialGrid(c.pts[0], eps, alpha, r) for c in curves]
         self.grids_last = [ExponentialGrid(c.pts[-1], eps, alpha, r) for c in curves]
+        work = (sum(gf.ncells * gl.ncells for gf, gl in zip(self.grids_first, self.grids_last))
+                * sum(len(c) - 1 for c in curves))
+        if work > MAX_ANN_COMPARISONS:
+            raise ValueError(
+                f"AnnStructure build of {work:.3g} comparisons refused: cell pairs "
+                f"times curve splits, limit {MAX_ANN_COMPARISONS:.0e}"
+            )
 
         # pair annotations: nearest curve over the whole set per (g, h)
         self.pair_dist: list[np.ndarray] = []

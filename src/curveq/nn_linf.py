@@ -72,16 +72,12 @@ def _segment_table(segments: Sequence[Segment], what: str):
 class RectKeyTable:
     """Per-(curve, split) extrema rows for a curve set.
 
-    ``raw`` holds the eight extrema in declaration order; ``values`` the
-    sign-adjusted copy used for dominance queries.  Row ``k`` belongs to
-    curve ``curve_pos[k]`` (position in the input list) at 1-based split
-    ``split[k]``; ``tags[k]`` is the curve's rank in id order.
+    ``values`` holds the eight extrema in key column order, sign-adjusted
+    for dominance queries, one row per split, curve by curve in input
+    order; ``tags[k]`` is row ``k``'s curve rank in id order.
     """
 
-    raw: np.ndarray
     values: np.ndarray
-    curve_pos: np.ndarray
-    split: np.ndarray
     tags: np.ndarray
     ids_by_rank: list[str]
 
@@ -93,22 +89,14 @@ def rect_key_table(curves: Sequence[Curve]) -> RectKeyTable:
                 f"curve {c.id!r} has {len(c)} vertex; indexed structures require m >= 2"
             )
     ids_by_rank, ranks = _ranked_ids([c.id for c in curves])
-    rows, pos, split = [], [], []
-    for j, c in enumerate(curves):
+    rows = []
+    for c in curves:
         prof = partition_profile(c)
-        block = np.column_stack([getattr(prof, f) for f in _KEY_FIELDS])
-        rows.append(block)
-        pos.append(np.full(block.shape[0], j))
-        split.append(np.arange(1, len(c)))
+        rows.append(np.column_stack([getattr(prof, f) for f in _KEY_FIELDS]))
     raw = np.vstack(rows) if rows else np.empty((0, 8))
-    pos = np.concatenate(pos) if pos else np.empty(0, dtype=int)
-    split = np.concatenate(split) if split else np.empty(0, dtype=int)
     return RectKeyTable(
-        raw=raw,
         values=raw * _SIGNS8,
-        curve_pos=pos,
-        split=split,
-        tags=ranks[pos] if len(pos) else np.empty(0, dtype=int),
+        tags=np.repeat(ranks, [len(c) - 1 for c in curves]),
         ids_by_rank=ids_by_rank,
     )
 

@@ -59,8 +59,6 @@ class TranslationKeyTable:
     u3: np.ndarray
     u4: np.ndarray
     values: np.ndarray  # columns (r, u2, -u1, u4, -u3) for dominance queries
-    curve_pos: np.ndarray
-    split: np.ndarray
     tags: np.ndarray
     ids_by_rank: list[str]
 
@@ -73,8 +71,7 @@ def translation_key_table(curves: Sequence[Curve]) -> TranslationKeyTable:
             )
     ids_by_rank, ranks = _ranked_ids([c.id for c in curves])
     cols: dict[str, list[np.ndarray]] = {k: [] for k in ("r", "u1", "u2", "u3", "u4")}
-    pos, split = [], []
-    for j, c in enumerate(curves):
+    for c in curves:
         p = partition_profile(c)
         pre_r = np.maximum(p.pre_max_x - p.pre_min_x, p.pre_max_y - p.pre_min_y) / 2.0
         suf_r = np.maximum(p.suf_max_x - p.suf_min_x, p.suf_max_y - p.suf_min_y) / 2.0
@@ -83,21 +80,16 @@ def translation_key_table(curves: Sequence[Curve]) -> TranslationKeyTable:
         cols["u2"].append(p.suf_max_x - p.pre_min_x)
         cols["u3"].append(p.suf_min_y - p.pre_max_y)
         cols["u4"].append(p.suf_max_y - p.pre_min_y)
-        pos.append(np.full(p.nsplits, j))
-        split.append(np.arange(1, len(c)))
     arr = {k: np.concatenate(v) if v else np.empty(0) for k, v in cols.items()}
-    pos = np.concatenate(pos) if pos else np.empty(0, dtype=int)
     values = (
         np.column_stack([arr["r"], arr["u2"], -arr["u1"], arr["u4"], -arr["u3"]])
-        if len(pos)
+        if curves
         else np.empty((0, 5))
     )
     return TranslationKeyTable(
         r=arr["r"], u1=arr["u1"], u2=arr["u2"], u3=arr["u3"], u4=arr["u4"],
         values=values,
-        curve_pos=pos,
-        split=np.concatenate(split) if split else np.empty(0, dtype=int),
-        tags=ranks[pos] if len(pos) else np.empty(0, dtype=int),
+        tags=np.repeat(ranks, [len(c) - 1 for c in curves]),
         ids_by_rank=ids_by_rank,
     )
 

@@ -10,6 +10,7 @@ one of these.
 from __future__ import annotations
 
 import itertools
+from fractions import Fraction
 from typing import Sequence, Union
 
 import numpy as np
@@ -141,37 +142,45 @@ def _axis_feasible(pmin, pmax, smin, smax, s_iv, t_iv) -> bool:
     return lo <= hi
 
 
-def _translation_min_r(pts: np.ndarray, i: int, pairing, dx, dy) -> float:
+def _translation_min_r(pts: np.ndarray, i: int, pairing, dx: Fraction, dy: Fraction) -> Fraction:
     """Smallest feasible r for one curve/split/pairing by trying the
-    necessary lower-bound candidates against the raw interval test."""
-    pre, suf = pts[:i], pts[i:]
-    pminx, pmaxx = pre[:, 0].min(), pre[:, 0].max()
-    pminy, pmaxy = pre[:, 1].min(), pre[:, 1].max()
-    sminx, smaxx = suf[:, 0].min(), suf[:, 0].max()
-    sminy, smaxy = suf[:, 1].min(), suf[:, 1].max()
+    necessary lower-bound candidates against the raw interval test.
+
+    Everything is evaluated in exact rationals built from the float
+    coordinates: in floats, the rounding of ``dy - 2r - pmin`` against
+    ``smin`` can reject the exact optimum.
+    """
+    pminx, pminy = map(Fraction, pts[:i].min(axis=0).tolist())
+    pmaxx, pmaxy = map(Fraction, pts[:i].max(axis=0).tolist())
+    sminx, sminy = map(Fraction, pts[i:].min(axis=0).tolist())
+    smaxx, smaxy = map(Fraction, pts[i:].max(axis=0).tolist())
     sx, sy = pairing
     gx = (sminx - pmaxx) if sx > 0 else (pminx - smaxx)
     gy = (sminy - pmaxy) if sy > 0 else (pminy - smaxy)
     cands = sorted({
-        (pmaxx - pminx) / 2.0, (smaxx - sminx) / 2.0,
-        (pmaxy - pminy) / 2.0, (smaxy - sminy) / 2.0,
-        (dx - gx) / 4.0, (dy - gy) / 4.0,
+        (pmaxx - pminx) / 2, (smaxx - sminx) / 2,
+        (pmaxy - pminy) / 2, (smaxy - sminy) / 2,
+        (dx - gx) / 4, (dy - gy) / 4,
     })
 
-    def feasible(r: float) -> bool:
+    def feasible(r: Fraction) -> bool:
         if r < 0:
             return False
-        s_x = (0.0, 2 * r) if sx > 0 else (dx - 2 * r, dx)
-        t_x = (dx - 2 * r, dx) if sx > 0 else (0.0, 2 * r)
-        s_y = (0.0, 2 * r) if sy > 0 else (dy - 2 * r, dy)
-        t_y = (dy - 2 * r, dy) if sy > 0 else (0.0, 2 * r)
+        s_x = (0, 2 * r) if sx > 0 else (dx - 2 * r, dx)
+        t_x = (dx - 2 * r, dx) if sx > 0 else (0, 2 * r)
+        s_y = (0, 2 * r) if sy > 0 else (dy - 2 * r, dy)
+        t_y = (dy - 2 * r, dy) if sy > 0 else (0, 2 * r)
         return (_axis_feasible(pminx, pmaxx, sminx, smaxx, s_x, t_x)
                 and _axis_feasible(pminy, pmaxy, sminy, smaxy, s_y, t_y))
 
     for r in cands:
         if feasible(r):
-            return float(r)
+            return r
     raise AssertionError("some lower-bound candidate must be feasible")
+
+
+def _span(values: np.ndarray) -> Fraction:
+    return Fraction(float(values.max())) - Fraction(float(values.min()))
 
 
 def center_brute(curves: Sequence[Curve], metric: Metric = "linf",
@@ -183,7 +192,7 @@ def center_brute(curves: Sequence[Curve], metric: Metric = "linf",
     suffix-union covering radii (half extent for L-inf, minimum
     enclosing ball for L2); the translation variant minimizes the
     feasible radius per curve and corner pairing by interval
-    intersection.
+    intersection in exact rationals.
     """
     curves = list(curves)
     if not curves:
@@ -201,15 +210,16 @@ def center_brute(curves: Sequence[Curve], metric: Metric = "linf",
     if translation:
         if metric != "linf":
             raise ValueError("translation center oracle is L-inf only")
-        dx = max(float(c.pts[:, 0].max() - c.pts[:, 0].min()) for c in curves)
-        dy = max(float(c.pts[:, 1].max() - c.pts[:, 1].min()) for c in curves)
+        dx = max(_span(c.pts[:, 0]) for c in curves)
+        dy = max(_span(c.pts[:, 1]) for c in curves)
+        pairings = ((1, 1), (1, -1), (-1, 1), (-1, -1))
+        # a curve's minimum depends only on its own split and the pairing
+        min_r = [[[_translation_min_r(c.pts, i, pairing, dx, dy) for pairing in pairings]
+                  for i in range(1, len(c))] for c in curves]
         best, best_sp = None, None
         for assignment in itertools.product(*ranges):
-            for pairing in ((1, 1), (1, -1), (-1, 1), (-1, -1)):
-                r = max(
-                    _translation_min_r(c.pts, i, pairing, dx, dy)
-                    for c, i in zip(curves, assignment)
-                )
+            for pi in range(len(pairings)):
+                r = max(table[i - 1][pi] for table, i in zip(min_r, assignment))
                 if best is None or r < best:
                     best, best_sp = r, assignment
         return float(best), {c.id: i for c, i in zip(curves, best_sp)}

@@ -17,7 +17,7 @@ from curveq import (
     partition_profile,
     r_lower_bound,
 )
-from curveq.center import MAX_RADII_VERTICES, PrefixBitTree
+from curveq.center import MAX_RADII_VERTICES
 from conftest import rand_curve, rand_curves
 
 
@@ -95,33 +95,6 @@ def verify_solution(sol, curves, tol=1e-9):
         worst = max(worst, dfd_segment_curve(s, moved, sol.metric)[0])
     assert worst <= sol.radius + tol
     return worst
-
-
-class TestPrefixBitTree:
-    def test_prefix_queries(self):
-        t = PrefixBitTree(6)
-        assert t.longest_one_prefix() == 0
-        t.set(0)
-        assert t.longest_one_prefix() == 1
-        t.set(2)
-        assert t.longest_one_prefix() == 1
-        t.set(1)
-        assert t.longest_one_prefix() == 3
-        for i in (3, 4, 5):
-            t.set(i)
-        assert t.longest_one_prefix() == 6
-
-    def test_random_against_list(self, rng):
-        m = 17
-        t = PrefixBitTree(m)
-        bits = [0] * m
-        for i in rng.permutation(m):
-            t.set(int(i))
-            bits[int(i)] = 1
-            want = 0
-            while want < m and bits[want]:
-                want += 1
-            assert t.longest_one_prefix() == want
 
 
 class TestCenterLinf:

@@ -1,8 +1,10 @@
-"""Property tests of the best-first kernel and of every exact structure.
+"""Property tests of the best-first kernel, every exact structure and the
+L-infinity center solvers.
 
 ``DominanceIndex.nearest`` and ``decide`` are compared with a NumPy scan
 over every (shift row, row) pair; each structure's ``nearest`` with
-``curveq.oracles.nn_brute`` on degenerate curves.
+``curveq.oracles.nn_brute`` and each center solver with
+``curveq.oracles.center_brute`` on degenerate curves.
 """
 
 import numpy as np
@@ -18,10 +20,12 @@ from curveq import (
     SegmentQueryIndex,
     TranslationCurveIndex,
     TranslationSegmentIndex,
+    center_linf,
+    center_linf_translation,
     dfd_segment_curve,
 )
 from curveq.nn_linf import _morton_keys
-from curveq.oracles import nn_brute
+from curveq.oracles import center_brute, nn_brute
 from curveq.rangetree import DominanceIndex
 from conftest import brute_min_max
 
@@ -218,6 +222,35 @@ def test_kgon_guarantee_on_degenerate_curves(data, eps):
         assert dstar <= dt + tol
         assert dt <= (1.0 + eps) * dstar + tol
         assert dfd_segment_curve(by_id[sid], q, "l2")[0] <= dt + tol
+
+
+@st.composite
+def center_cases(draw):
+    """1-3 degenerate curves plus at most one duplicate, with ids that sort
+    unlike insertion order."""
+    unit = draw(UNITS)
+    shapes = draw(st.lists(curve_pts(unit), min_size=1, max_size=3))
+    shapes += draw(st.lists(st.sampled_from(shapes), max_size=1))
+    names = draw(st.permutations(range(len(shapes))))
+    return [Curve(f"id{k:02d}", p) for k, p in zip(names, shapes)], unit
+
+
+@pytest.mark.parametrize("solver, translation", [
+    (center_linf, False), (center_linf_translation, True),
+], ids=["center_linf", "center_linf_translation"])
+@SETTINGS
+@given(case=center_cases())
+def test_linf_center_solvers_match_oracle(solver, translation, case):
+    curves, unit = case
+    sol = solver(curves)
+    want = center_brute(curves, "linf", translation=translation)[0]
+    # non-integer units round differences at the coordinates' scale
+    tol = 0.0 if unit in (1.0, 1e9) else 1e-9 * max(1.0, 4.0 * unit)
+    assert abs(sol.radius - want) <= tol
+    s = Segment("ctr", sol.a, sol.b)
+    for c in curves:
+        moved = c.translated(sol.translation_of(c.id))
+        assert dfd_segment_curve(s, moved, "linf")[0] <= sol.radius + tol
 
 
 CURVE = [Curve("c", [[0, 0], [1, 1], [2, 0]])]

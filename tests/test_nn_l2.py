@@ -1,3 +1,4 @@
+import io
 import math
 
 import numpy as np
@@ -12,7 +13,10 @@ from curveq import (
     SegmentQueryIndex,
     dfd_segment_curve,
     kgon_sides,
+    save_curves,
 )
+from curveq.cli import cli_dispatch
+from curveq.nn_l2 import MAX_ANN_COMPARISONS
 from conftest import rand_curve, rand_curves, rand_segment, rand_segments
 
 ROOT2 = math.sqrt(2.0)
@@ -134,6 +138,19 @@ class TestAnnStructure:
             AnnStructure([Curve("c", [[0, 0], [1, 0]])], 0.5, 0.0)
         with pytest.raises(ValueError):
             AnnStructure([Curve("c", [[0, 0]])], 0.5, 1.0)
+
+    def test_oversized_build_refused(self, tmp_path):
+        # two 8-vertex curves at eps=0.1 need about 3e8 comparisons
+        curves = [Curve(f"c{k}", np.arange(16.0).reshape(8, 2) + k) for k in range(2)]
+        with pytest.raises(ValueError, match="refused"):
+            AnnStructure(curves, 0.1, 1.0)
+        save_curves(tmp_path / "data.jsonl", curves)
+        save_curves(tmp_path / "q.jsonl", [Curve("q", [[0, 0], [1, 1]])])
+        err = io.StringIO()
+        rc = cli_dispatch(["nn", "--data", str(tmp_path / "data.jsonl"),
+                           "--queries", str(tmp_path / "q.jsonl"), "--metric", "l2",
+                           "--epsilon", "0.1", "--radius", "1"], out=io.StringIO(), err=err)
+        assert rc == 1 and f"{MAX_ANN_COMPARISONS:.0e}" in err.getvalue()
 
 
 class TestLadder:

@@ -32,10 +32,10 @@ def brute_nearest_segment(segments, q):
 
 class TestRectKeyTable:
     def test_counts(self, rng):
-        assert rect_key_table([Curve("a", [[0, 0], [1, 1]])]).raw.shape[0] == 1
+        assert rect_key_table([Curve("a", [[0, 0], [1, 1]])]).values.shape[0] == 1
         curves = rand_curves(rng, 7, 9)
         t = rect_key_table(curves)
-        assert t.raw.shape[0] == sum(len(c) - 1 for c in curves)
+        assert t.values.shape[0] == sum(len(c) - 1 for c in curves)
 
     def test_build_error_names_curve(self):
         with pytest.raises(ValueError, match="tiny"):

@@ -71,6 +71,12 @@ class TestCenterBrute:
         assert center_brute(cs, "linf")[0] == 1.0
         assert center_brute(cs, "l2")[0] == pytest.approx(1.0, abs=1e-12)
 
+    def test_translation_optimum_survives_float_rounding(self):
+        # in floats, dy - 2r - 0.2 and 0 + 0.1 differ by one ulp at the
+        # exact optimum r = 0, so the interval test rejected it
+        cs = [Curve("a", [[0, -0.1], [0, 0.2]])]
+        assert center_brute(cs, "linf", translation=True) == (0.0, {"a": 1})
+
     def test_duplicate_curve_does_not_change_radius(self, rng):
         cs = rand_curves(rng, 3, 4)
         r0 = center_brute(cs, "linf")[0]
