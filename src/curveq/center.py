@@ -4,19 +4,19 @@ Find the segment ab and smallest radius r such that every input curve
 splits into a prefix inside the radius-r ball around a and a suffix
 inside the ball around b.  Three exact solvers:
 
-* :func:`center_linf` -- fixed positions, squares.  An optimal prefix (or
-  suffix) square can be anchored at a corner of the global bounding
-  rectangle, so eight corner/role sweeps cover all optima.  A sweep gives
-  every vertex a key, the smallest side of the corner square that puts
-  it in its curve's prefix (a running max of L-infinity distances from
-  the corner), and scores each key as a side with the suffix extrema
-  taken in key order; O(nm log nm) in all.
+* :func:`center_linf` -- fixed positions, squares.  An optimal prefix
+  square can be anchored at a corner of the global bounding rectangle, so
+  four corner sweeps cover all optima (no sweeps of reversed curves; see
+  its docstring).  A sweep gives every vertex a key, the smallest side of
+  the corner square that puts it in its curve's prefix (a running max of
+  L-infinity distances from the corner), and scores each key as a side
+  with the suffix extrema taken in key order; O(nm log nm) in all.
 
 * :func:`center_linf_translation` -- every curve may translate.  Both
   squares anchor at opposite corners of the rectangle spanned by the
-  maximal per-curve extents; the optimal radius is a closed-form max of
-  per-split lower bounds, maximized over curves and minimized over the
-  four corner pairings.
+  maximal per-curve extents; the radius is the least, over the four
+  corner pairings, of the worst curve's best closed-form split bound in
+  the keys of :func:`~curveq.geometry.translation_keys`, in one flat pass.
 
 * :func:`center_l2` -- disks.  Binary search over the O((nm)^3) candidate
   radii (pair half-distances and acute circumradii); each decision
@@ -39,7 +39,9 @@ from .geometry import (
     circle_intersections,
     circumcircle,
     min_enclosing_ball,
-    partition_profile,
+    partition_profiles,
+    running_max,
+    translation_keys,
 )
 
 __all__ = [
@@ -104,12 +106,7 @@ def _prefix_keys(sizes: np.ndarray, offsets: np.ndarray, d: np.ndarray) -> np.nd
     curve.  Vertex i joins once the side covers vertices 0..i, so its key
     is their running max; a last vertex never joins (key +inf).
     """
-    owner = np.repeat(np.arange(len(sizes)), sizes)
-    vals, rank = np.unique(d, return_inverse=True)
-    # lifting each curve's ranks above every earlier curve's makes one
-    # running max over the flat array restart at each curve
-    lift = owner * len(vals)
-    keys = vals[np.maximum.accumulate(lift + rank) - lift]
+    keys = running_max(d, sizes)
     keys[offsets + sizes - 1] = np.inf
     return keys
 
@@ -144,42 +141,41 @@ def _bbox_center(pts: np.ndarray) -> np.ndarray:
 def center_linf(curves: Sequence[Curve]) -> CenterSolution:
     """Exact (1,2)-Center under L-infinity, O(nm log nm).
 
-    Four corner sweeps on the curves and four on their reversals cover
-    the prefix-determined and suffix-determined optima.  Each sweep gives
-    every vertex a key, the square side at which it joins its curve's
-    prefix, and scores the candidate sides with suffix extrema taken in
-    key order.  Ties break by smallest radius, then (role, corner index,
-    side).
+    One sweep per corner of the global bounding box B gives every vertex
+    a key, the square side at which it joins its curve's prefix, and
+    scores the candidate sides with suffix extrema taken in key order.
+    Ties break by smallest radius, then (corner index, side).  Sweeps of
+    the reversed curves are not needed, since some corner square of side
+    2r* holds an optimal prefix set P: per axis, P touches the low or the
+    high side of B and that side's corner covers P's extent (<= 2r*), or
+    P touches neither, so the suffixes span B, which is then at most 2r*
+    wide there.  Each comparison is a float subtraction sharing one
+    operand, so rounding keeps these orders.
     """
     curves = _validate(curves)
     sizes = np.array([len(c) for c in curves])
     offsets = np.concatenate(([0], np.cumsum(sizes)[:-1]))
-    flats = (np.vstack([c.pts for c in curves]), np.vstack([c.pts[::-1] for c in curves]))
-    lo, hi = flats[0].min(axis=0), flats[0].max(axis=0)
+    flat = np.vstack([c.pts for c in curves])
+    lo, hi = flat.min(axis=0), flat.max(axis=0)
     corners = [np.array([lo[0], lo[1]]), np.array([hi[0], lo[1]]),
                np.array([lo[0], hi[1]]), np.array([hi[0], hi[1]])]
 
-    best = None  # ((cost, role, corner_idx, side), keys)
-    for role, flat in enumerate(flats):
-        for ci, corner in enumerate(corners):
-            d = np.abs(flat - corner).max(axis=1)
-            keys = _prefix_keys(sizes, offsets, d)
-            cost, side = _corner_sweep(flat, keys, float(d[offsets].max()))
-            cand = (cost, role, ci, side)
-            if best is None or cand < best[0]:
-                best = (cand, keys)
-    (cost, role, _, side), keys = best
+    best = None  # ((cost, corner_idx, side), keys)
+    for ci, corner in enumerate(corners):
+        d = np.abs(flat - corner).max(axis=1)
+        keys = _prefix_keys(sizes, offsets, d)
+        cost, side = _corner_sweep(flat, keys, float(d[offsets].max()))
+        cand = (cost, ci, side)
+        if best is None or cand < best[0]:
+            best = (cand, keys)
+    (cost, _, side), keys = best
 
     in_pre = keys <= side
     splits = np.add.reduceat(in_pre.astype(int), offsets)
-    a, b = _bbox_center(flats[role][in_pre]), _bbox_center(flats[role][~in_pre])
-    if role == 1:  # reversed curves: map splits and swap the ball roles
-        splits = sizes - splits
-        a, b = b, a
     return CenterSolution(
         metric="linf",
-        a=a,
-        b=b,
+        a=_bbox_center(flat[in_pre]),
+        b=_bbox_center(flat[~in_pre]),
         radius=float(cost),
         splits={c.id: int(s) for c, s in zip(curves, splits)},
         translations={c.id: np.zeros(2) for c in curves},
@@ -190,20 +186,12 @@ def center_linf(curves: Sequence[Curve]) -> CenterSolution:
 # L-infinity center under translation
 # ---------------------------------------------------------------------------
 
-def _gap_terms(p: PartitionProfile, pairing) -> tuple[np.ndarray, np.ndarray]:
-    sx, sy = pairing
-    gap_x = (p.suf_min_x - p.pre_max_x) if sx > 0 else (p.pre_min_x - p.suf_max_x)
-    gap_y = (p.suf_min_y - p.pre_max_y) if sy > 0 else (p.pre_min_y - p.suf_max_y)
-    return gap_x, gap_y
-
-
-def _r_lower_bounds(p: PartitionProfile, pairing, dx_star: float, dy_star: float) -> np.ndarray:
-    ext = np.maximum(
-        np.maximum(p.pre_max_x - p.pre_min_x, p.suf_max_x - p.suf_min_x),
-        np.maximum(p.pre_max_y - p.pre_min_y, p.suf_max_y - p.suf_min_y),
-    ) / 2.0
-    gap_x, gap_y = _gap_terms(p, pairing)
-    return np.maximum(ext, np.maximum((dx_star - gap_x) / 4.0, (dy_star - gap_y) / 4.0))
+def _r_lower_bounds(keys, pairing, dx_star: float, dy_star: float) -> np.ndarray:
+    # max(r, (dx* - gx)/4, (dy* - gy)/4), gx = u1 or -u2, gy = u3 or -u4
+    r, u1, u2, u3, u4 = keys
+    gap_x = u1 if pairing[0] > 0 else -u2
+    gap_y = u3 if pairing[1] > 0 else -u4
+    return np.maximum(r, np.maximum((dx_star - gap_x) / 4.0, (dy_star - gap_y) / 4.0))
 
 
 def r_lower_bound(profile: PartitionProfile, i: int, pairing,
@@ -215,32 +203,30 @@ def r_lower_bound(profile: PartitionProfile, i: int, pairing,
     the pairing.  Each term is a necessary lower bound and their max is
     feasible, which the interval-feasibility oracle confirms.
     """
-    return float(_r_lower_bounds(profile, pairing, dx_star, dy_star)[i - 1])
+    return float(_r_lower_bounds(translation_keys(profile), pairing, dx_star, dy_star)[i - 1])
 
 
 def center_linf_translation(curves: Sequence[Curve]) -> CenterSolution:
-    """Exact (1,2)-Center under translation and L-infinity, O(nm)."""
+    """Exact (1,2)-Center under translation and L-infinity, O(nm log nm):
+    every pairing's bound at every split, each curve's first minimizing
+    split, and the pairing whose worst curve is least (ties: lower index)."""
     curves = _validate(curves)
-    profiles = [partition_profile(c) for c in curves]
-    widths = np.array([c.pts[:, 0].max() - c.pts[:, 0].min() for c in curves])
-    heights = np.array([c.pts[:, 1].max() - c.pts[:, 1].min() for c in curves])
-    dx_star, dy_star = float(widths.max()), float(heights.max())
+    sizes = np.array([len(c) for c in curves])
+    offsets = np.concatenate(([0], np.cumsum(sizes)[:-1]))
+    starts = offsets - np.arange(len(curves))  # each curve's first split entry
+    flat = np.vstack([c.pts for c in curves])
+    span = np.maximum.reduceat(flat, offsets) - np.minimum.reduceat(flat, offsets)
+    dx_star, dy_star = float(span[:, 0].max()), float(span[:, 1].max())
+    prof = partition_profiles(curves)
+    keys = translation_keys(prof)
 
-    best = None  # (radius, pairing_idx, per-curve split list)
-    for pi, pairing in enumerate(_PAIRINGS):
-        splits = []
-        worst = 0.0
-        for p in profiles:
-            r_i = _r_lower_bounds(p, pairing, dx_star, dy_star)
-            k = int(np.argmin(r_i))
-            splits.append(k + 1)
-            if r_i[k] > worst:
-                worst = float(r_i[k])
-        cand = (worst, pi, splits)
-        if best is None or cand[:2] < best[:2]:
-            best = cand
-    r, pi, splits = best
-    sx, sy = _PAIRINGS[pi]
+    bounds = np.stack([_r_lower_bounds(keys, p, dx_star, dy_star) for p in _PAIRINGS])
+    per_curve = np.minimum.reduceat(bounds, starts, axis=1)
+    worst = np.maximum(0.0, per_curve.max(axis=1))
+    pi = int(np.argmin(worst))
+    r, (sx, sy) = float(worst[pi]), _PAIRINGS[pi]
+    hit = bounds[pi] == np.repeat(per_curve[pi], sizes - 1)
+    first = np.minimum.reduceat(np.where(hit, np.arange(hit.size), hit.size), starts)
 
     # pairing (+1, .) puts the suffix square to the right of the prefix square
     s_x = (0.0, 2 * r) if sx > 0 else (dx_star - 2 * r, dx_star)
@@ -248,22 +234,20 @@ def center_linf_translation(curves: Sequence[Curve]) -> CenterSolution:
     s_y = (0.0, 2 * r) if sy > 0 else (dy_star - 2 * r, dy_star)
     t_y = (dy_star - 2 * r, dy_star) if sy > 0 else (0.0, 2 * r)
 
-    translations = {}
-    for c, p, s in zip(curves, profiles, splits):
-        i = s - 1
-        lox = max(s_x[0] - p.pre_min_x[i], t_x[0] - p.suf_min_x[i])
-        hix = min(s_x[1] - p.pre_max_x[i], t_x[1] - p.suf_max_x[i])
-        loy = max(s_y[0] - p.pre_min_y[i], t_y[0] - p.suf_min_y[i])
-        hiy = min(s_y[1] - p.pre_max_y[i], t_y[1] - p.suf_max_y[i])
-        translations[c.id] = np.array([(lox + hix) / 2.0, (loy + hiy) / 2.0])
+    p = {f: v[first] for f, v in vars(prof).items()}
+    lox = np.maximum(s_x[0] - p["pre_min_x"], t_x[0] - p["suf_min_x"])
+    hix = np.minimum(s_x[1] - p["pre_max_x"], t_x[1] - p["suf_max_x"])
+    loy = np.maximum(s_y[0] - p["pre_min_y"], t_y[0] - p["suf_min_y"])
+    hiy = np.minimum(s_y[1] - p["pre_max_y"], t_y[1] - p["suf_max_y"])
+    moves = np.column_stack([(lox + hix) / 2.0, (loy + hiy) / 2.0])
 
     return CenterSolution(
         metric="linf",
         a=np.array([(s_x[0] + s_x[1]) / 2.0, (s_y[0] + s_y[1]) / 2.0]),
         b=np.array([(t_x[0] + t_x[1]) / 2.0, (t_y[0] + t_y[1]) / 2.0]),
         radius=r,
-        splits={c.id: s for c, s in zip(curves, splits)},
-        translations=translations,
+        splits={c.id: int(s) for c, s in zip(curves, first - starts + 1)},
+        translations={c.id: t for c, t in zip(curves, moves)},
     )
 
 

@@ -4,8 +4,8 @@ Everything downstream rests on the prefix/suffix characterization of the
 segment-vs-curve distance: ``d(ab, C) <= r`` iff ``C`` splits at some index
 ``i`` so that the prefix fits in the radius-``r`` ball around ``a`` and the
 suffix in the ball around ``b``.  This module provides the exact dynamic
-program over alignments, the linear-time split form, per-split coordinate
-extrema, and the enclosing-shape helpers the center solvers need.
+program over alignments, the linear-time split form, per-split extrema and
+translation keys, and the enclosing-shape helpers the center solvers need.
 
 All containers are immutable after construction and all functions are pure,
 so concurrent use requires no locking.
@@ -32,6 +32,9 @@ __all__ = [
     "dfd_dp",
     "dfd_segment_curve",
     "partition_profile",
+    "partition_profiles",
+    "running_max",
+    "translation_keys",
     "min_enclosing_square_radius",
     "min_enclosing_ball",
     "circumcircle",
@@ -225,6 +228,53 @@ def partition_profile(c) -> PartitionProfile:
     for a in vars(prof).values():
         a.setflags(write=False)
     return prof
+
+
+def _run_max(rank: np.ndarray, sizes, span: int) -> np.ndarray:
+    lift = np.repeat(np.arange(len(sizes)) * span, sizes)
+    return np.maximum.accumulate(lift + rank, axis=-1) - lift
+
+
+def running_max(values: np.ndarray, sizes) -> np.ndarray:
+    """Running max along the last axis, restarting at each of consecutive
+    runs of the given ``sizes``: ranks lifted above every earlier run's
+    restart one ``np.maximum.accumulate``; outputs are inputs, memory O(N)."""
+    vals, rank = np.unique(values, return_inverse=True)
+    return vals[_run_max(rank.reshape(np.shape(values)), sizes, len(vals))]
+
+
+def partition_profiles(curves) -> PartitionProfile:
+    """Every curve's :func:`partition_profile`, concatenated in input
+    order, in one flat pass.  Minima are running maxima of reversed
+    ranks, so every entry is an input coordinate."""
+    pts = [_pts_of(c) for c in curves]
+    sizes = np.array([p.shape[0] for p in pts], dtype=int)
+    if (sizes < 2).any():
+        raise ValueError("partition_profiles requires curves with at least 2 vertices")
+    xy = np.vstack(pts).T if pts else np.empty((2, 0))
+    vals, rank = np.unique(xy, return_inverse=True)
+    top = len(vals) - 1
+    rank = rank.reshape(xy.shape)[[0, 0, 1, 1]]
+    rank[1::2] = top - rank[1::2]  # rows: max x, min x, max y, min y
+    ends = np.cumsum(sizes)
+    pre = np.delete(_run_max(rank, sizes, top + 1), ends - 1, axis=1)
+    suf = np.delete(_run_max(rank[:, ::-1], sizes[::-1], top + 1)[:, ::-1], ends - sizes, axis=1)
+    ext = np.vstack([pre, suf])
+    ext[1::2] = top - ext[1::2]
+    ext = vals[ext]
+    ext.setflags(write=False)
+    return PartitionProfile(*ext)
+
+
+def translation_keys(p: PartitionProfile) -> tuple[np.ndarray, ...]:
+    """Per-split translation-invariant keys ``(r, u1, u2, u3, u4)``: r is
+    the larger prefix/suffix smallest-enclosing-square radius, u1 <= u2
+    the least and greatest x offsets from a prefix to a suffix vertex,
+    u3 <= u4 the same in y."""
+    r = np.maximum(np.maximum(p.pre_max_x - p.pre_min_x, p.pre_max_y - p.pre_min_y),
+                   np.maximum(p.suf_max_x - p.suf_min_x, p.suf_max_y - p.suf_min_y)) / 2.0
+    return (r, p.suf_min_x - p.pre_max_x, p.suf_max_x - p.pre_min_x,
+            p.suf_min_y - p.pre_max_y, p.suf_max_y - p.pre_min_y)
 
 
 def min_enclosing_square_radius(points) -> float:

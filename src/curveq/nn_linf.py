@@ -37,7 +37,7 @@ import numpy as np
 from .geometry import Curve, Segment, dfd_segment_curve, partition_profile
 from .rangetree import DominanceIndex
 
-__all__ = ["RectKeyTable", "rect_key_table", "SegmentQueryIndex", "SegmentInputIndex"]
+__all__ = ["KeyTable", "rect_key_table", "SegmentQueryIndex", "SegmentInputIndex"]
 
 # Key column order; signs map every condition to "value - shift <= d".
 _KEY_FIELDS = (
@@ -69,12 +69,11 @@ def _segment_table(segments: Sequence[Segment], what: str):
 
 
 @dataclass(frozen=True, eq=False)
-class RectKeyTable:
-    """Per-(curve, split) extrema rows for a curve set.
-
-    ``values`` holds the eight extrema in key column order, sign-adjusted
-    for dominance queries, one row per split, curve by curve in input
-    order; ``tags[k]`` is row ``k``'s curve rank in id order.
+class KeyTable:
+    """Per-(curve, split) key rows for a curve set.
+    ``values`` holds one row per split, curve by curve in input order,
+    sign-adjusted for dominance queries (eight extrema, or translation
+    keys); ``tags[k]`` is row ``k``'s curve rank in id order.
     """
 
     values: np.ndarray
@@ -82,7 +81,7 @@ class RectKeyTable:
     ids_by_rank: list[str]
 
 
-def rect_key_table(curves: Sequence[Curve]) -> RectKeyTable:
+def rect_key_table(curves: Sequence[Curve]) -> KeyTable:
     for c in curves:
         if len(c) < 2:
             raise ValueError(
@@ -94,7 +93,7 @@ def rect_key_table(curves: Sequence[Curve]) -> RectKeyTable:
         prof = partition_profile(c)
         rows.append(np.column_stack([getattr(prof, f) for f in _KEY_FIELDS]))
     raw = np.vstack(rows) if rows else np.empty((0, 8))
-    return RectKeyTable(
+    return KeyTable(
         values=raw * _SIGNS8,
         tags=np.repeat(ranks, [len(c) - 1 for c in curves]),
         ids_by_rank=ids_by_rank,

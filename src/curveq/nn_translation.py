@@ -1,11 +1,12 @@
 """Nearest-neighbor under translation, L-infinity discrete Fréchet distance.
 
 The distance between a query and an item is minimized over all
-translations of one of them.  Per split it has a closed form in
-translation-invariant quantities: with c = b - a the segment's difference
-vector, r the larger of the prefix/suffix smallest-enclosing-square
-radii, u1 = suf_min_x - pre_max_x, u2 = suf_max_x - pre_min_x and u3, u4
-the y analogues, the split's distance is
+translations of one of them.  Per split it has a closed form in the
+translation-invariant keys of :func:`curveq.geometry.translation_keys`:
+with c = b - a the segment's difference vector, r the larger of the
+prefix/suffix smallest-enclosing-square radii, u1 = suf_min_x - pre_max_x,
+u2 = suf_max_x - pre_min_x and u3, u4 the y analogues, the split's
+distance is
 
     max(r, (u2 - c.x)/2, (c.x - u1)/2, (u4 - c.y)/2, (c.y - u3)/2),
 
@@ -26,17 +27,15 @@ to the smallest id.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
 
-from .geometry import Curve, Segment, partition_profile
-from .nn_linf import _describe, _morton_keys, _ranked_ids, _segment_table
+from .geometry import Curve, Segment, partition_profile, partition_profiles, translation_keys
+from .nn_linf import KeyTable, _describe, _morton_keys, _ranked_ids, _segment_table
 from .rangetree import DominanceIndex
 
 __all__ = [
-    "TranslationKeyTable",
     "translation_key_table",
     "TranslationCurveIndex",
     "TranslationSegmentIndex",
@@ -45,50 +44,17 @@ __all__ = [
 _SCALES5 = np.array([1.0, 2.0, 2.0, 2.0, 2.0])
 
 
-@dataclass(frozen=True, eq=False)
-class TranslationKeyTable:
-    """Per-(curve, split) translation-invariant key rows.
-
-    r is the larger of the prefix/suffix smallest-enclosing-square radii;
-    u1 <= u2 and u3 <= u4 are the span differences defined above.
-    """
-
-    r: np.ndarray
-    u1: np.ndarray
-    u2: np.ndarray
-    u3: np.ndarray
-    u4: np.ndarray
-    values: np.ndarray  # columns (r, u2, -u1, u4, -u3) for dominance queries
-    tags: np.ndarray
-    ids_by_rank: list[str]
-
-
-def translation_key_table(curves: Sequence[Curve]) -> TranslationKeyTable:
+def translation_key_table(curves: Sequence[Curve]) -> KeyTable:
+    """Rows (r, u2, -u1, u4, -u3) for every (curve, split), curve by curve."""
     for c in curves:
         if len(c) < 2:
             raise ValueError(
                 f"curve {c.id!r} has {len(c)} vertex; indexed structures require m >= 2"
             )
     ids_by_rank, ranks = _ranked_ids([c.id for c in curves])
-    cols: dict[str, list[np.ndarray]] = {k: [] for k in ("r", "u1", "u2", "u3", "u4")}
-    for c in curves:
-        p = partition_profile(c)
-        pre_r = np.maximum(p.pre_max_x - p.pre_min_x, p.pre_max_y - p.pre_min_y) / 2.0
-        suf_r = np.maximum(p.suf_max_x - p.suf_min_x, p.suf_max_y - p.suf_min_y) / 2.0
-        cols["r"].append(np.maximum(pre_r, suf_r))
-        cols["u1"].append(p.suf_min_x - p.pre_max_x)
-        cols["u2"].append(p.suf_max_x - p.pre_min_x)
-        cols["u3"].append(p.suf_min_y - p.pre_max_y)
-        cols["u4"].append(p.suf_max_y - p.pre_min_y)
-    arr = {k: np.concatenate(v) if v else np.empty(0) for k, v in cols.items()}
-    values = (
-        np.column_stack([arr["r"], arr["u2"], -arr["u1"], arr["u4"], -arr["u3"]])
-        if curves
-        else np.empty((0, 5))
-    )
-    return TranslationKeyTable(
-        r=arr["r"], u1=arr["u1"], u2=arr["u2"], u3=arr["u3"], u4=arr["u4"],
-        values=values,
+    r, u1, u2, u3, u4 = translation_keys(partition_profiles(curves))
+    return KeyTable(
+        values=np.column_stack([r, u2, -u1, u4, -u3]),
         tags=np.repeat(ranks, [len(c) - 1 for c in curves]),
         ids_by_rank=ids_by_rank,
     )
@@ -172,8 +138,8 @@ class TranslationSegmentIndex:
         """
         if len(q) < 2:
             raise ValueError("query curve must have at least 2 vertices")
-        t = translation_key_table([Curve("q", q.pts)])
+        r, u1, u2, u3, u4 = translation_keys(partition_profile(q))
         best, tag = self._index.nearest(
-            np.column_stack([-t.u2, t.u1, -t.u4, t.u3]), scales=2.0, row_consts=t.r
+            np.column_stack([-u2, u1, -u4, u3]), scales=2.0, row_consts=r
         )
         return self.ids_by_rank[tag], best

@@ -234,20 +234,25 @@ def test_criterion_8_scaling_smoke():
                 rng.integers(0, 1001, 2).astype(float))
         for k in range(1000)
     ]
-    struct_t, brute_t = {}, {}
-    for n in (10000, 20000):
-        idx = SegmentQueryIndex(curves[:n])
-        t0 = time.perf_counter()
-        for q in queries:
-            idx.nearest(q)
-        struct_t[n] = (time.perf_counter() - t0) / len(queries)
-        brute = BruteForceNN(curves[:n], "linf")
-        t0 = time.perf_counter()
-        for q in queries:
-            brute.query(q)
-        brute_t[n] = (time.perf_counter() - t0) / len(queries)
+    sizes = (10000, 20000)
+    idx = {n: SegmentQueryIndex(curves[:n]) for n in sizes}
+    brute = {n: BruteForceNN(curves[:n], "linf") for n in sizes}
+    # each query runs on both sizes back to back, in alternating order, so
+    # machine drift over the run enters both sums alike
+    struct_t, brute_t = dict.fromkeys(sizes, 0.0), dict.fromkeys(sizes, 0.0)
+    for k, q in enumerate(queries):
+        for n in (sizes if k % 2 == 0 else sizes[::-1]):
+            t0 = time.perf_counter()
+            idx[n].nearest(q)
+            t1 = time.perf_counter()
+            brute[n].query(q)
+            struct_t[n] += t1 - t0
+            brute_t[n] += time.perf_counter() - t1
+    for n in sizes:
+        struct_t[n] /= len(queries)
+        brute_t[n] /= len(queries)
         for q in queries[:25]:
-            assert idx.nearest(q) == brute.query(q)
+            assert idx[n].nearest(q) == brute[n].query(q)
     s_ratio = struct_t[20000] / struct_t[10000]
     b_ratio = brute_t[20000] / brute_t[10000]
     assert s_ratio < 2.0

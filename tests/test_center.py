@@ -18,6 +18,7 @@ from curveq import (
     r_lower_bound,
 )
 from curveq.center import MAX_RADII_VERTICES
+from curveq.oracles import center_brute
 from conftest import rand_curve, rand_curves
 
 
@@ -59,31 +60,6 @@ def translation_feasible(curves, splits, pairing, r, dx, dy):
             if lo > hi:
                 return False
     return True
-
-
-def translation_center_oracle(curves):
-    dx = max(float(c.pts[:, 0].max() - c.pts[:, 0].min()) for c in curves)
-    dy = max(float(c.pts[:, 1].max() - c.pts[:, 1].min()) for c in curves)
-    best = math.inf
-    for splits in itertools.product(*[range(1, len(c)) for c in curves]):
-        for pairing in ((1, 1), (1, -1), (-1, 1), (-1, -1)):
-            # candidate radii: the necessary per-curve lower-bound terms
-            cands = set()
-            for c, i in zip(curves, splits):
-                pre, suf = c.pts[:i], c.pts[i:]
-                sx, sy = pairing
-                gx = (suf[:, 0].min() - pre[:, 0].max()) if sx > 0 else (pre[:, 0].min() - suf[:, 0].max())
-                gy = (suf[:, 1].min() - pre[:, 1].max()) if sy > 0 else (pre[:, 1].min() - suf[:, 1].max())
-                cands |= {
-                    (pre[:, 0].max() - pre[:, 0].min()) / 2, (suf[:, 0].max() - suf[:, 0].min()) / 2,
-                    (pre[:, 1].max() - pre[:, 1].min()) / 2, (suf[:, 1].max() - suf[:, 1].min()) / 2,
-                    (dx - gx) / 4, (dy - gy) / 4,
-                }
-            for r in sorted(cands):
-                if r >= 0 and translation_feasible(curves, splits, pairing, r, dx, dy):
-                    best = min(best, r)
-                    break
-    return best
 
 
 def verify_solution(sol, curves, tol=1e-9):
@@ -132,12 +108,14 @@ class TestCenterLinfTranslation:
         verify_solution(sol, cs, tol=0.0)
 
     def test_matches_oracle(self, rng):
-        for _ in range(100):
-            n = int(rng.integers(1, 5))
-            curves = rand_curves(rng, n, 4, hi=30)
+        # exact radius 0, not 0.15; the witness translation is rounded
+        cases = [([Curve("a", [[0, -0.1], [0, 0.2]])], 1e-15)]
+        cases += [(rand_curves(rng, int(rng.integers(1, 5)), 4, hi=30), 0.0)
+                  for _ in range(100)]
+        for curves, tol in cases:
             sol = center_linf_translation(curves)
-            assert sol.radius == translation_center_oracle(curves)
-            verify_solution(sol, curves, tol=0.0)
+            assert sol.radius == center_brute(curves, "linf", translation=True)[0]
+            verify_solution(sol, curves, tol=tol)
 
     def test_never_worse_than_fixed(self, rng):
         for _ in range(40):

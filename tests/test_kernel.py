@@ -1,10 +1,11 @@
-"""Property tests of the best-first kernel, every exact structure and the
-L-infinity center solvers.
+"""Property tests of the best-first kernel, every exact structure, the
+center solvers and the flat partition profile.
 
 ``DominanceIndex.nearest`` and ``decide`` are compared with a NumPy scan
 over every (shift row, row) pair; each structure's ``nearest`` with
-``curveq.oracles.nn_brute`` and each center solver with
-``curveq.oracles.center_brute`` on degenerate curves.
+``curveq.oracles.nn_brute``, each center solver with
+``curveq.oracles.center_brute`` and ``partition_profiles`` with the
+per-curve ``partition_profile`` on degenerate curves.
 """
 
 import numpy as np
@@ -20,10 +21,13 @@ from curveq import (
     SegmentQueryIndex,
     TranslationCurveIndex,
     TranslationSegmentIndex,
+    center_l2,
     center_linf,
     center_linf_translation,
     dfd_segment_curve,
+    partition_profile,
 )
+from curveq.geometry import partition_profiles
 from curveq.nn_linf import _morton_keys
 from curveq.oracles import center_brute, nn_brute
 from curveq.rangetree import DominanceIndex
@@ -235,22 +239,38 @@ def center_cases(draw):
     return [Curve(f"id{k:02d}", p) for k, p in zip(names, shapes)], unit
 
 
-@pytest.mark.parametrize("solver, translation", [
-    (center_linf, False), (center_linf_translation, True),
-], ids=["center_linf", "center_linf_translation"])
+@pytest.mark.parametrize("solver, metric, translation", [
+    (center_linf, "linf", False),
+    (center_linf_translation, "linf", True),
+    (center_l2, "l2", False),
+], ids=["center_linf", "center_linf_translation", "center_l2"])
 @SETTINGS
 @given(case=center_cases())
-def test_linf_center_solvers_match_oracle(solver, translation, case):
+def test_center_solvers_match_oracle(solver, metric, translation, case):
     curves, unit = case
     sol = solver(curves)
-    want = center_brute(curves, "linf", translation=translation)[0]
-    # non-integer units round differences at the coordinates' scale
-    tol = 0.0 if unit in (1.0, 1e9) else 1e-9 * max(1.0, 4.0 * unit)
+    want = center_brute(curves, metric, translation=translation)[0]
+    # non-integer units round differences at the coordinates' scale; L2
+    # radii come from different float formulas (candidate radii against
+    # the oracle's enclosing balls) at every unit
+    exact = metric == "linf" and unit in (1.0, 1e9)
+    tol = 0.0 if exact else 1e-9 * max(1.0, 4.0 * unit)
     assert abs(sol.radius - want) <= tol
     s = Segment("ctr", sol.a, sol.b)
     for c in curves:
         moved = c.translated(sol.translation_of(c.id))
-        assert dfd_segment_curve(s, moved, "linf")[0] <= sol.radius + tol
+        assert dfd_segment_curve(s, moved, metric)[0] <= sol.radius + tol
+
+
+@SETTINGS
+@given(shapes=UNITS.flatmap(lambda unit: st.lists(curve_pts(unit), max_size=6)),
+       dup=st.booleans())
+def test_partition_profiles_equal_concatenated_profiles(shapes, dup):
+    curves = [Curve(f"c{k}", p) for k, p in enumerate(shapes + shapes[:1] * dup)]
+    flat = partition_profiles(curves)
+    for field, got in vars(flat).items():
+        want = [getattr(partition_profile(c), field) for c in curves]
+        assert np.array_equal(got, np.concatenate(want) if want else np.empty(0))
 
 
 CURVE = [Curve("c", [[0, 0], [1, 1], [2, 0]])]

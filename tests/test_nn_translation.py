@@ -12,6 +12,7 @@ from curveq import (
     dfd_segment_curve,
     translation_key_table,
 )
+from curveq.geometry import partition_profiles, translation_keys
 from conftest import rand_curve, rand_curves, rand_segment, rand_segments
 
 
@@ -66,28 +67,37 @@ def brute_nearest(curves, s):
 class TestTranslationKeyTable:
     def test_counting(self, rng):
         t = translation_key_table([Curve("a", [[0, 0], [3, 4]])])
-        assert t.r.shape == (1,)
+        assert t.values.shape == (1, 5)
         curves = rand_curves(rng, 5, 7)
         t = translation_key_table(curves)
-        assert t.r.shape[0] == sum(len(c) - 1 for c in curves)
+        nsplits = sum(len(c) - 1 for c in curves)
+        assert t.values.shape[0] == t.tags.shape[0] == nsplits
+        assert all(k.shape == (nsplits,) for k in translation_keys(partition_profiles(curves)))
+        assert translation_key_table([]).values.shape == (0, 5)
 
     def test_values_match_direct_recompute(self, rng):
         for _ in range(20):
-            c = rand_curve(rng, "c", int(rng.integers(2, 10)))
-            t = translation_key_table([c])
-            for k, i in enumerate(range(1, len(c))):
-                pre, suf = c.pts[:i], c.pts[i:]
-                pre_r = max(pre[:, 0].max() - pre[:, 0].min(),
-                            pre[:, 1].max() - pre[:, 1].min()) / 2
-                suf_r = max(suf[:, 0].max() - suf[:, 0].min(),
-                            suf[:, 1].max() - suf[:, 1].min()) / 2
-                assert t.r[k] == max(pre_r, suf_r)
-                assert t.u1[k] == suf[:, 0].min() - pre[:, 0].max()
-                assert t.u2[k] == suf[:, 0].max() - pre[:, 0].min()
-                assert t.u3[k] == suf[:, 1].min() - pre[:, 1].max()
-                assert t.u4[k] == suf[:, 1].max() - pre[:, 1].min()
-                assert t.u1[k] <= t.u2[k] and t.u3[k] <= t.u4[k]
-                assert t.r[k] >= 0
+            curves = rand_curves(rng, int(rng.integers(1, 5)), 9)
+            r, u1, u2, u3, u4 = translation_keys(partition_profiles(curves))
+            values = translation_key_table(curves).values
+            k = 0
+            for c in curves:
+                for i in range(1, len(c)):
+                    pre, suf = c.pts[:i], c.pts[i:]
+                    pre_r = max(pre[:, 0].max() - pre[:, 0].min(),
+                                pre[:, 1].max() - pre[:, 1].min()) / 2
+                    suf_r = max(suf[:, 0].max() - suf[:, 0].min(),
+                                suf[:, 1].max() - suf[:, 1].min()) / 2
+                    assert r[k] == max(pre_r, suf_r)
+                    assert u1[k] == suf[:, 0].min() - pre[:, 0].max()
+                    assert u2[k] == suf[:, 0].max() - pre[:, 0].min()
+                    assert u3[k] == suf[:, 1].min() - pre[:, 1].max()
+                    assert u4[k] == suf[:, 1].max() - pre[:, 1].min()
+                    assert u1[k] <= u2[k] and u3[k] <= u4[k]
+                    assert r[k] >= 0
+                    assert values[k].tolist() == [r[k], u2[k], -u1[k], u4[k], -u3[k]]
+                    k += 1
+            assert k == values.shape[0]
 
     def test_small_curve_rejected(self):
         with pytest.raises(ValueError, match="stub"):
