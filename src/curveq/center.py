@@ -111,7 +111,7 @@ def _prefix_keys(sizes: np.ndarray, offsets: np.ndarray, d: np.ndarray) -> np.nd
     return keys
 
 
-def _corner_sweep(flat: np.ndarray, keys: np.ndarray, r0: float) -> tuple[float, float]:
+def _corner_sweep(cols: np.ndarray, keys: np.ndarray, r0: float) -> tuple[float, float]:
     """Best (cost, square side) over squares anchored at one corner.
 
     The square of side s holds every vertex with key <= s; the rest form
@@ -123,12 +123,13 @@ def _corner_sweep(flat: np.ndarray, keys: np.ndarray, r0: float) -> tuple[float,
     """
     order = np.argsort(keys, kind="stable")
     ks = keys[order]
-    rev = flat[order][::-1]  # suffix extrema in key order
-    hi = np.maximum.accumulate(rev, axis=0)[::-1]
-    lo = np.minimum.accumulate(rev, axis=0)[::-1]
+    rev = cols[:, order][:, ::-1]  # suffix extrema in key order
+    hi = np.maximum.accumulate(rev, axis=1)[:, ::-1]
+    lo = np.minimum.accumulate(rev, axis=1)[:, ::-1]
     sides = np.concatenate(([r0], ks[(ks >= r0) & (ks < np.inf)]))
     first = np.searchsorted(ks, sides, side="right")  # last vertices keep this in range
-    ext = (hi[first] - lo[first]).max(axis=1)
+    e = hi[:, first] - lo[:, first]
+    ext = np.maximum(e[0], e[1])
     cost = np.maximum(sides, ext) / 2.0
     k = int(np.argmin(cost))
     return float(cost[k]), float(sides[k])
@@ -156,15 +157,16 @@ def center_linf(curves: Sequence[Curve]) -> CenterSolution:
     sizes = np.array([len(c) for c in curves])
     offsets = np.concatenate(([0], np.cumsum(sizes)[:-1]))
     flat = np.vstack([c.pts for c in curves])
+    cols = np.ascontiguousarray(flat.T)  # x row, y row: no reductions over axes of length 2
     lo, hi = flat.min(axis=0), flat.max(axis=0)
     corners = [np.array([lo[0], lo[1]]), np.array([hi[0], lo[1]]),
                np.array([lo[0], hi[1]]), np.array([hi[0], hi[1]])]
 
     best = None  # ((cost, corner_idx, side), keys)
     for ci, corner in enumerate(corners):
-        d = np.abs(flat - corner).max(axis=1)
+        d = np.maximum(np.abs(cols[0] - corner[0]), np.abs(cols[1] - corner[1]))
         keys = _prefix_keys(sizes, offsets, d)
-        cost, side = _corner_sweep(flat, keys, float(d[offsets].max()))
+        cost, side = _corner_sweep(cols, keys, float(d[offsets].max()))
         cand = (cost, ci, side)
         if best is None or cand < best[0]:
             best = (cand, keys)

@@ -174,9 +174,9 @@ class AnnStructure:
                 )
                 pre_g = pre[: gf.ncells]
                 suf_h = suf[gf.ncells:]
-                d = np.min(
-                    np.maximum(pre_g[:, None, :], suf_h[None, :, :]), axis=2
-                )
+                d = np.maximum.outer(pre_g[:, 0], suf_h[:, 0])
+                for j in range(1, pre_g.shape[1]):
+                    np.minimum(d, np.maximum.outer(pre_g[:, j], suf_h[:, j]), out=d)
                 better = d < best_d
                 best_d[better] = d[better]
                 best_c[better] = ci

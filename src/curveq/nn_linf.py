@@ -63,8 +63,8 @@ def _segment_table(segments: Sequence[Segment], what: str):
     if not segments:
         raise ValueError(f"{what} requires a non-empty segment list")
     ids_by_rank, ranks = _ranked_ids([s.id for s in segments])
-    a = np.array([s.a for s in segments])
-    b = np.array([s.b for s in segments])
+    a = np.concatenate([s.a for s in segments]).reshape(-1, 2)
+    b = np.concatenate([s.b for s in segments]).reshape(-1, 2)
     return ids_by_rank, ranks, a, b
 
 

@@ -9,7 +9,11 @@ and the search stops once no unvisited block can beat the best distance
 found (Roussopoulos, Kelley & Vincent, SIGMOD 1995; Hjaltason & Samet,
 TODS 1999).  Bounds are exact because ``x -> (x - s) / scale`` rounds
 monotonically.  Threshold queries (:meth:`DominanceIndex.collect_thresholds`)
-return every row below a componentwise bound.
+return every row below a componentwise bound.  Values are stored
+column-major, one contiguous row per dimension (the column-store layout of
+Boncz, Zukowski & Nes, CIDR 2005), so the max over the D columns reduces
+over the leading axis: NumPy takes elementwise maxima of long contiguous
+rows instead of reducing many trailing axes of only 4-8 columns.
 """
 
 from __future__ import annotations
@@ -35,6 +39,11 @@ class DominanceIndex:
     difference is evaluated exactly as written, which keeps results
     bit-identical to brute-force scans computing the same differences.
     Scales must be powers of two (1 or 2 here) so the quotients are exact.
+
+    The sorted values are held once, as the C-contiguous (D, N) array
+    ``cols``; block minima are (D, blocks).  Distances are (D, R, rows)
+    differences reduced over axis 0, column by column in the same order
+    as a row-major scan, so the layout does not change any answer.
     """
 
     def __init__(self, values, sort_keys, tags=None, block_size: Optional[int] = None):
@@ -48,12 +57,13 @@ class DominanceIndex:
         if n == 0:
             raise ValueError("DominanceIndex requires at least one row")
         order = np.argsort(np.asarray(sort_keys), kind="stable")
-        self.values = np.ascontiguousarray(values[order])
+        # a C-contiguous copy: the F-ordered view values.T[:, order] is slow
+        self.cols = np.ascontiguousarray(values.take(order, axis=0).T)
         tags = np.arange(n) if tags is None else np.asarray(tags)
         self.tags = tags[order]
         b = block_size or max(8, math.isqrt(n))
         self._starts = np.arange(0, n, b)
-        self._bmins = np.minimum.reduceat(self.values, self._starts, axis=0)
+        self._bmins = np.minimum.reduceat(self.cols, self._starts, axis=1)
         self._n = n
         self._b = b
 
@@ -62,11 +72,11 @@ class DominanceIndex:
 
     @property
     def dims(self) -> int:
-        return self.values.shape[1]
+        return self.cols.shape[0]
 
     def describe(self) -> dict:
         """Rows, dims, blocks, block size and bytes held in arrays."""
-        arrays = (self.values, self.tags, self._starts, self._bmins)
+        arrays = (self.cols, self.tags, self._starts, self._bmins)
         return {
             "rows": self._n,
             "dims": self.dims,
@@ -90,15 +100,15 @@ class DominanceIndex:
         With ``stop`` the search returns the first pair found at distance
         at most ``stop`` instead, or None when there is none.
         """
-        s = np.atleast_2d(np.asarray(shift_rows, dtype=float))
-        scale = None if scales is None else np.asarray(scales, dtype=float)
+        st = np.ascontiguousarray(np.atleast_2d(np.asarray(shift_rows, dtype=float)).T)
+        scale = None if scales is None else np.asarray(scales, dtype=float).reshape(-1, 1, 1)
         consts = None if row_consts is None else np.asarray(row_consts, dtype=float)
 
         def dist(v, rows):
-            diff = v[None, :, :] - s[rows, None, :]
+            diff = v[:, None, :] - st[:, rows, None]
             if scale is not None:
                 diff /= scale
-            d = diff.max(axis=2)
+            d = diff.max(axis=0)
             return d if consts is None else np.maximum(d, consts[rows, None])
 
         bounds = dist(self._bmins, slice(None))  # (R, blocks)
@@ -110,7 +120,7 @@ class DominanceIndex:
                 break
             rows = np.flatnonzero(bounds[:, bi] <= best)
             lo = bi * self._b
-            d = dist(self.values[lo:lo + self._b], rows).min(axis=0)
+            d = dist(self.cols[:, lo:lo + self._b], rows).min(axis=0)
             m = d.min()
             if m > best:
                 continue
@@ -128,17 +138,13 @@ class DominanceIndex:
 
     # -- threshold-form queries -----------------------------------------------
 
-    def _block_rows(self, bi: int) -> slice:
-        lo = self._starts[bi]
-        return slice(lo, min(lo + self._b, self._n))
-
     def collect_thresholds(self, thresholds) -> np.ndarray:
         """Tags of all rows satisfying v <= thresholds componentwise."""
-        thresholds = np.asarray(thresholds, dtype=float)
+        thresholds = np.asarray(thresholds, dtype=float).reshape(-1, 1)
         out = []
-        for bi in np.nonzero((self._bmins <= thresholds).all(axis=1))[0]:
-            rows = self._block_rows(bi)
-            ok = (self.values[rows] <= thresholds).all(axis=1)
+        for bi in np.nonzero((self._bmins <= thresholds).all(axis=0))[0]:
+            rows = slice(bi * self._b, (bi + 1) * self._b)
+            ok = (self.cols[:, rows] <= thresholds).all(axis=0)
             if ok.any():
                 out.append(self.tags[rows][ok])
         if not out:

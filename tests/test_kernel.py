@@ -62,8 +62,10 @@ def kernel_cases(draw):
         tags = np.array(draw(st.permutations(range(n))))
     else:
         tags = np.array(draw(st.lists(st.integers(0, n), min_size=n, max_size=n)))
-    scales = draw(st.one_of(st.none(), st.lists(st.sampled_from([1.0, 2.0]),
-                                                min_size=dims, max_size=dims).map(np.array)))
+    # per-column scales, or one scalar as TranslationSegmentIndex passes
+    scales = draw(st.one_of(st.none(), st.sampled_from([1.0, 2.0]),
+                            st.lists(st.sampled_from([1.0, 2.0]),
+                                     min_size=dims, max_size=dims).map(np.array)))
     consts = draw(st.one_of(st.none(), st.lists(ints, min_size=nshift, max_size=nshift)
                             .map(lambda c: np.array(c, dtype=float) * unit)))
     block = draw(st.sampled_from([None, 1, 2, 3, 8]))

@@ -70,3 +70,5 @@ class TestDominanceIndex:
         arrays = [v for v in vars(idx).values() if isinstance(v, np.ndarray)]
         assert info["nbytes"] == sum(a.nbytes for a in arrays)
         assert info["nbytes"] >= values.nbytes
+        # the sorted values are held once, column-major
+        assert info["nbytes"] < 2 * values.nbytes
