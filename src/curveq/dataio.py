@@ -47,11 +47,12 @@ def load_curves(path) -> list[Curve]:
                     f"{path}:{ln}: duplicate id {cid!r} (first seen on line {seen[cid]})"
                 )
             seen[cid] = ln
-            pts = rec["points"]
-            if (not isinstance(pts, list) or not pts
-                    or not all(isinstance(p, list) and len(p) == 2 for p in pts)):
+            try:
+                arr = np.asarray(rec["points"], dtype=float)
+            except (TypeError, ValueError, OverflowError):  # ragged, non-numeric or too large
+                arr = np.empty(0)
+            if arr.ndim != 2 or arr.shape[1] != 2 or not len(arr):
                 raise ValueError(f"{path}:{ln}: points must be a non-empty list of [x, y]")
-            arr = np.asarray(pts, dtype=float)
             if not np.isfinite(arr).all():
                 raise ValueError(f"{path}:{ln}: non-finite coordinate")
             curves.append(Curve(cid, arr))

@@ -85,7 +85,7 @@ def nn_brute(dataset: Sequence[Union[Curve, Segment]], query,
         d = _item_distance(it, query, metric, translation)
         if best_d is None or d < best_d:
             best_id, best_d = it.id, d
-    return best_id, float(best_d)
+    return best_id, float(best_d) + 0.0  # + 0.0 turns -0.0 into 0.0
 
 
 class BruteForceNN:

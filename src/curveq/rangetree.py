@@ -8,8 +8,13 @@ visited in increasing order of a lower bound derived from their minima,
 and the search stops once no unvisited block can beat the best distance
 found (Roussopoulos, Kelley & Vincent, SIGMOD 1995; Hjaltason & Samet,
 TODS 1999).  Bounds are exact because ``x -> (x - s) / scale`` rounds
-monotonically.  Threshold queries (:meth:`DominanceIndex.collect_thresholds`)
-return every row below a componentwise bound.  Values are stored
+monotonically; for the same reason a shift row that another row
+dominates (no larger in any column, constant no smaller) is never closer
+to any stored row, and a query with at most four shift rows per block
+drops it first (the skyline of Börzsönyi, Kossmann & Stocker, ICDE 2001,
+on the query side).  Threshold
+queries (:meth:`DominanceIndex.collect_thresholds`) return every row
+below a componentwise bound.  Values are stored
 column-major, one contiguous row per dimension (the column-store layout of
 Boncz, Zukowski & Nes, CIDR 2005), so the max over the D columns reduces
 over the leading axis: NumPy takes elementwise maxima of long contiguous
@@ -24,6 +29,20 @@ from typing import Optional
 import numpy as np
 
 __all__ = ["DominanceIndex"]
+
+# nearest filters shift rows while R is at most this many per block; past
+# that its (D + 1) * R^2 comparisons stop paying for themselves against the
+# D * R * blocks differences of a bound pass (timings in CHANGES.md)
+_SKYLINE_ROWS_PER_BLOCK = 4
+
+
+def _undominated(st, consts=None) -> np.ndarray:
+    """Mask of the shift rows (columns of the (D, R) array ``st``) that no
+    other row dominates.  Row j dominates row i when ``st[:, i] <= st[:, j]``
+    and ``consts[i] >= consts[j]``; of equal rows the first is kept."""
+    a = st if consts is None else np.vstack([st, -consts])
+    le = np.logical_and.reduce(a[:, :, None] <= a[:, None, :], axis=0)  # le[i, j]: j dominates i
+    return ~(le & ~np.triu(le.T)).any(axis=1)  # j does not drop an equal i < j
 
 
 class DominanceIndex:
@@ -90,6 +109,13 @@ class DominanceIndex:
     def nearest(self, shift_rows, scales=None, row_consts=None, stop=None):
         """``(distance, tag)`` of the minimizing pair; ties to the smallest tag.
 
+        When there are at most four shift rows per block, rows that
+        another row dominates are dropped first (see :func:`_undominated`):
+        by monotone rounding their distance to every row, and their bound
+        on every block, is at least their dominator's, so the answer, the
+        block order and the ``stop`` hits do not change.
+        A zero distance is returned as ``0.0``, never ``-0.0``.
+
         Per (shift row, block) the lower bound is the distance of the
         block's componentwise minima.  Blocks are visited in increasing
         order of their smallest bound, and inside a block only the shift
@@ -103,6 +129,10 @@ class DominanceIndex:
         st = np.ascontiguousarray(np.atleast_2d(np.asarray(shift_rows, dtype=float)).T)
         scale = None if scales is None else np.asarray(scales, dtype=float).reshape(-1, 1, 1)
         consts = None if row_consts is None else np.asarray(row_consts, dtype=float)
+        if 1 < st.shape[1] <= _SKYLINE_ROWS_PER_BLOCK * len(self._starts):
+            keep = _undominated(st, consts)
+            st = st[:, keep]
+            consts = None if consts is None else consts[keep]
 
         def dist(v, rows):
             diff = v[:, None, :] - st[:, rows, None]
@@ -125,10 +155,10 @@ class DominanceIndex:
             if m > best:
                 continue
             if stop is not None:
-                return float(m), self.tags[lo + int(np.argmin(d))]
+                return float(m) + 0.0, self.tags[lo + int(np.argmin(d))]
             tag = self.tags[lo:lo + self._b][d == m].min()
             if best_tag is None or m < best or tag < best_tag:
-                best, best_tag = float(m), tag
+                best, best_tag = float(m) + 0.0, tag  # + 0.0 turns -0.0 into 0.0
         return None if best_tag is None else (best, best_tag)
 
     def decide(self, shift_rows, d: float, scales=None):

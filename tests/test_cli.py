@@ -72,6 +72,26 @@ class TestBruteAB:
         assert rc1 == rc2 == 0
         assert out1 == out2
 
+    @pytest.mark.parametrize("extra", [
+        ["--direction", "segment-query"],
+        ["--direction", "segment-query", "--translation"],
+        ["--direction", "curve-query"],
+        ["--direction", "curve-query", "--translation"],
+    ])
+    def test_signed_zero_prints_like_brute(self, tmp_path, extra):
+        # the distance is a zero whose sign depends on the order of the
+        # differences; both sides must print it as 0
+        data = tmp_path / "d.jsonl"
+        data.write_text('{"id": "c", "points": [[0.0, 0.0], [0.0, 0.0]]}\n')
+        q = tmp_path / "q.jsonl"
+        q.write_text('{"id": "q", "points": [[0.0, 0.0], [0.0, -0.0]]}\n')
+        base = ["nn", "--data", str(data), "--queries", str(q), "--metric", "linf"] + extra
+        rc1, out1, _ = run(base)
+        rc2, out2, _ = run(base + ["--brute"])
+        assert rc1 == rc2 == 0
+        assert out1 == out2
+        assert '"distance": 0,' in out1
+
     def test_l2_within_factor_of_brute(self):
         base = ["nn", "--data", str(DATA / "segments_small.jsonl"),
                 "--queries", str(DATA / "queries_curves.jsonl"), "--metric", "l2",

@@ -51,6 +51,17 @@ class TestLoadCurves:
         with pytest.raises(ValueError, match="non-finite"):
             load_curves(p)
 
+    @pytest.mark.parametrize("points", [
+        "[[[1, 2], [3, 4]]]", "[[1, 2, 3]]", "[1, 2]", "[[]]", "[]", "[[1, 2], [3]]",
+        '[[1, "a"]]', '{"x": 1}', f"[[1{'0' * 400}, 0]]",
+    ])
+    def test_bad_points_report_line(self, tmp_path, points):
+        p = tmp_path / "shape.jsonl"
+        p.write_text('{"id": "a", "points": [[0, 0]]}\n'
+                     f'{{"id": "x", "points": {points}}}\n')
+        with pytest.raises(ValueError, match=r":2: points must be a non-empty list of \[x, y\]"):
+            load_curves(p)
+
     def test_missing_points_rejected(self, tmp_path):
         p = tmp_path / "nopoints.jsonl"
         p.write_text('{"id": "a"}\n')

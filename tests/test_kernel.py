@@ -30,7 +30,7 @@ from curveq import (
 from curveq.geometry import partition_profiles
 from curveq.nn_linf import _morton_keys
 from curveq.oracles import center_brute, nn_brute
-from curveq.rangetree import DominanceIndex
+from curveq.rangetree import DominanceIndex, _undominated
 from conftest import brute_min_max
 
 SETTINGS = settings(max_examples=150, deadline=None,
@@ -46,7 +46,7 @@ def kernel_cases(draw):
     unit = draw(UNITS)
     n = draw(st.integers(1, 60))
     dims = draw(st.integers(1, 5))
-    nshift = draw(st.integers(1, 4))
+    nshift = draw(st.integers(1, 16))
     ints = st.integers(-4, 4)
     if draw(st.booleans()):
         values = np.array(draw(st.lists(ints, min_size=n * dims, max_size=n * dims)),
@@ -56,6 +56,14 @@ def kernel_cases(draw):
                                   dtype=float), (n, 1))
     shifts = np.array(draw(st.lists(ints, min_size=nshift * dims, max_size=nshift * dims)),
                       dtype=float).reshape(nshift, dims)
+    # planted copies of drawn rows, lowered by 0-2 per column: equal rows
+    # and rows that another row dominates, placed anywhere in the order
+    plants = draw(st.lists(st.tuples(st.integers(0, nshift - 1),
+                                     st.lists(st.integers(0, 2), min_size=dims, max_size=dims)),
+                           max_size=6))
+    shifts = np.vstack([shifts] + [shifts[i] - np.array(drop) for i, drop in plants])
+    shifts = shifts[np.array(draw(st.permutations(range(len(shifts)))))]
+    nshift = len(shifts)
     # tags permuted against insertion order; repeated tags model the
     # several rows (splits) of one curve
     if draw(st.booleans()):
@@ -73,7 +81,12 @@ def kernel_cases(draw):
         keys = _morton_keys(values)
     else:
         keys = np.array(draw(st.permutations(range(n))))
-    return values * unit, tags, shifts * unit, scales, consts, block, keys
+    values, shifts = values * unit, shifts * unit
+    if draw(st.booleans()):  # equal up to the sign of zero
+        for a in (values, shifts) if consts is None else (values, shifts, consts):
+            a[(a == 0) & np.array(draw(st.lists(st.booleans(), min_size=a.size,
+                                                max_size=a.size))).reshape(a.shape)] = -0.0
+    return values, tags, shifts, scales, consts, block, keys
 
 
 @SETTINGS
@@ -84,6 +97,7 @@ def test_nearest_and_decide_match_brute(case, stop_steps):
     per_row, want = brute_min_max(values, tags, shifts, scales, consts)
     got = idx.nearest(shifts, scales=scales, row_consts=consts)
     assert got == want
+    assert got[0] != 0 or not np.signbit(got[0])  # a zero is +0.0
 
     # decide at the optimum, just above and below it, and at far values
     unit = max(1.0, float(np.abs(values).max()))
@@ -93,12 +107,71 @@ def test_nearest_and_decide_match_brute(case, stop_steps):
             assert hit is None
         else:
             assert hit is not None and hit[0] <= d
+            assert hit[0] != 0 or not np.signbit(hit[0])
             assert hit[0] in per_row[tags == hit[1]]
         if consts is None:
             tag = idx.decide(shifts, d, scales=scales)
             assert (tag is None) == (want[0] > d)
             if tag is not None:
                 assert (per_row[tags == tag] <= d).any()
+
+
+def undominated_by_definition(shifts, consts):
+    """O(R^2) reading of the filter: row i goes when some other row j is
+    at least as large in every column with a constant no larger, unless
+    j is equal to i and comes after it."""
+    c = np.zeros(len(shifts)) if consts is None else consts
+    keep = []
+    for i, (si, ci) in enumerate(zip(shifts, c)):
+        def beats(j):
+            ge = all(si <= shifts[j]) and ci >= c[j]
+            equal = all(si == shifts[j]) and ci == c[j]
+            return ge and not (equal and j > i)
+        keep.append(not any(beats(j) for j in range(len(shifts)) if j != i))
+    return np.array(keep)
+
+
+@SETTINGS
+@given(kernel_cases())
+def test_undominated_matches_definition(case):
+    _, _, shifts, _, consts, _, _ = case
+    got = _undominated(np.ascontiguousarray(shifts.T), consts)
+    assert np.array_equal(got, undominated_by_definition(shifts, consts))
+
+
+def test_undominated_keeps_the_first_of_equal_rows():
+    shifts = np.array([[1.0, 2.0], [0.0, 2.0], [1.0, 2.0], [1.0, -0.0], [1.0, 0.0]])
+    st_ = np.ascontiguousarray(shifts.T)
+    assert _undominated(st_).tolist() == [True, False, False, False, False]
+    # a lower constant keeps an otherwise dominated row; equal constants tie
+    assert _undominated(st_, np.array([1.0, 0.0, 1.0, 0.0, 0.0])).tolist() == \
+        [True, True, False, True, False]
+    assert _undominated(st_[:, 3:], np.array([0.0, -0.0])).tolist() == [True, False]
+
+
+@pytest.mark.parametrize("block, filtered", [(4, True), (13, True), (17, False), (50, False)])
+def test_filter_runs_up_to_four_shift_rows_per_block(monkeypatch, block, filtered):
+    # 50 rows in 13, 4, 3 or 1 blocks against 13 shift rows
+    rng = np.random.default_rng(7)
+    values = rng.integers(-4, 5, size=(50, 3)).astype(float)
+    shifts = rng.integers(-4, 5, size=(13, 3)).astype(float)
+    consts = rng.integers(-4, 5, size=13).astype(float)
+    calls = []
+    monkeypatch.setattr("curveq.rangetree._undominated",
+                        lambda *a: calls.append(1) or _undominated(*a))
+    idx = DominanceIndex(values, _morton_keys(values), block_size=block)
+    got = idx.nearest(shifts, row_consts=consts)
+    assert got == brute_min_max(values, np.arange(50), shifts, consts=consts)[1]
+    assert bool(calls) == filtered
+
+
+def test_zero_distance_is_positive_zero():
+    # -0.0 - 0.0 is -0.0: the raw minimum is a negative zero
+    idx = DominanceIndex([[-0.0, -1.0], [3.0, 3.0]], [0, 1], block_size=1)
+    for shifts in ([[0.0, 0.0]], [[0.0, 0.0], [0.0, -0.0], [-1.0, 0.0]]):
+        for got in (idx.nearest(shifts), idx.nearest(shifts, stop=0.0),
+                    idx.nearest(shifts, row_consts=[-0.0] * len(shifts))):
+            assert got == (0.0, 0) and not np.signbit(got[0])
 
 
 def test_exact_tie_straddling_block_boundary():
