@@ -311,6 +311,7 @@ def center_l2_decision(curves: Sequence[Curve], r: float) -> Optional[tuple[np.n
         raise ValueError("radius must be non-negative")
     curves = _validate(curves)
     verts = np.vstack([c.pts for c in curves])
+    tol = max(_L2_TOL, 16 * float(np.spacing(np.abs(verts).max())))  # a few ulps at large coordinates
     sizes = [len(c) for c in curves]
     offsets = np.cumsum([0] + sizes[:-1])
 
@@ -324,7 +325,7 @@ def center_l2_decision(curves: Sequence[Curve], r: float) -> Optional[tuple[np.n
     cand = np.vstack(cands)
 
     diff = cand[:, None, :] - verts[None, :, :]
-    within = np.hypot(diff[:, :, 0], diff[:, :, 1]) <= r + _L2_TOL
+    within = np.hypot(diff[:, :, 0], diff[:, :, 1]) <= r + tol
 
     leads = np.empty((cand.shape[0], len(curves)), dtype=int)
     for j, (off, m) in enumerate(zip(offsets, sizes)):
@@ -344,7 +345,7 @@ def center_l2_decision(curves: Sequence[Curve], r: float) -> Optional[tuple[np.n
             hit = min_enclosing_ball(suffix)
             meb_cache[splits] = hit
         center, radius = hit
-        if radius <= r + _L2_TOL:
+        if radius <= r + tol:
             a = cand[row].copy()
             a.setflags(write=False)
             return a, center, {c.id: s for c, s in zip(curves, splits)}

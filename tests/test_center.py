@@ -220,6 +220,21 @@ class TestCenterL2:
             assert sol.radius == pytest.approx(l2_center_oracle(curves), abs=1e-9)
             verify_solution(sol, curves)
 
+    def test_large_coordinates(self):
+        # the optimal a is the midpoint of two vertices 3.2e9 apart; its
+        # distance to them rounds well above an absolute 1e-9 slack
+        cs = [Curve("a", [[3e9, -2e9], [0.0, -3e9], [1e9, 3e9]])]
+        assert center_l2(cs).radius == center_brute(cs, "l2")[0] == math.hypot(3e9, 1e9) / 2
+
+    def test_large_offset_small_spread(self):
+        # optimum 1 (split {p0} | {p1, p2}); the pair p0, p2 gives a
+        # candidate radius 6.5e-4 below it, which a slack of 1e-3 would accept
+        x = y = 1e9
+        cs = [Curve("a", [[x - 0.25, y + 1.983], [x + 2.0, y], [x, y]])]
+        radii = candidate_radii(cs)
+        assert 1.0 - 1e-3 < radii[1] < radii[2] == 1.0
+        assert center_l2(cs).radius == center_brute(cs, "l2")[0] == 1.0
+
 
 class TestOrderRelations:
     def test_linf_vs_l2_radii(self, rng):
