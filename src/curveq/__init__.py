@@ -39,7 +39,6 @@ from .center import (
     center_l2_decision,
     center_linf,
     center_linf_translation,
-    r_lower_bound,
 )
 from .dataio import ResultRecord, as_segments, load_curves, save_curves
 
@@ -54,6 +53,6 @@ __all__ = [
     "TranslationCurveIndex", "TranslationSegmentIndex", "translation_key_table",
     "ExponentialGrid", "AnnStructure", "kgon_sides", "KgonStructure",
     "CenterSolution", "center_linf", "center_linf_translation",
-    "r_lower_bound", "candidate_radii", "center_l2_decision", "center_l2",
+    "candidate_radii", "center_l2_decision", "center_l2",
     "load_curves", "save_curves", "as_segments", "ResultRecord",
 ]

@@ -35,7 +35,6 @@ import numpy as np
 
 from .geometry import (
     Curve,
-    PartitionProfile,
     circle_intersections,
     circumcircle,
     min_enclosing_ball,
@@ -48,7 +47,6 @@ __all__ = [
     "CenterSolution",
     "center_linf",
     "center_linf_translation",
-    "r_lower_bound",
     "candidate_radii",
     "center_l2_decision",
     "center_l2",
@@ -189,23 +187,14 @@ def center_linf(curves: Sequence[Curve]) -> CenterSolution:
 # ---------------------------------------------------------------------------
 
 def _r_lower_bounds(keys, pairing, dx_star: float, dy_star: float) -> np.ndarray:
-    # max(r, (dx* - gx)/4, (dy* - gy)/4), gx = u1 or -u2, gy = u3 or -u4
+    """Minimal radius of every (curve, split) for one corner pairing:
+    max(r, (dx* - gx)/4, (dy* - gy)/4) with the gaps gx = u1 or -u2 and
+    gy = u3 or -u4 sign-adjusted to the pairing; each term is a necessary
+    bound and their max is feasible."""
     r, u1, u2, u3, u4 = keys
     gap_x = u1 if pairing[0] > 0 else -u2
     gap_y = u3 if pairing[1] > 0 else -u4
     return np.maximum(r, np.maximum((dx_star - gap_x) / 4.0, (dy_star - gap_y) / 4.0))
-
-
-def r_lower_bound(profile: PartitionProfile, i: int, pairing,
-                  dx_star: float, dy_star: float) -> float:
-    """Minimal radius for one (curve, split) and corner pairing.
-
-    Max of the prefix/suffix half-extents in both axes and the two
-    opposing-vertex terms (delta* - gap)/4, with gaps sign-adjusted to
-    the pairing.  Each term is a necessary lower bound and their max is
-    feasible, which the interval-feasibility oracle confirms.
-    """
-    return float(_r_lower_bounds(translation_keys(profile), pairing, dx_star, dy_star)[i - 1])
 
 
 def center_linf_translation(curves: Sequence[Curve]) -> CenterSolution:

@@ -1,4 +1,4 @@
-"""Command-line front end: dfd, nn, center, and bench subcommands.
+"""Command-line front end: dfd, nn and center subcommands.
 
 Exit codes: 0 success, 1 data error, 2 usage error.
 """
@@ -10,8 +10,6 @@ import json
 import sys
 import time
 from typing import Optional, Sequence
-
-import numpy as np
 
 from . import oracles
 from .center import center_l2, center_linf, center_linf_translation
@@ -59,16 +57,6 @@ def _build_parser() -> argparse.ArgumentParser:
     c.add_argument("--data", required=True)
     c.add_argument("--metric", choices=("linf", "l2"), required=True)
     c.add_argument("--translation", action="store_true")
-
-    b = sub.add_parser("bench", help="build/query timing sweep (CSV)")
-    b.add_argument("--structure", default="linf-segment-query",
-                   choices=("linf-segment-query", "brute-segment-query",
-                            "linf-curve-query", "translation-segment-query",
-                            "translation-curve-query"))
-    b.add_argument("--sizes", default="1000,2000")
-    b.add_argument("--m", type=int, default=10)
-    b.add_argument("--queries", type=int, default=100)
-    b.add_argument("--seed", type=int, default=0)
     return p
 
 
@@ -192,60 +180,6 @@ def _cmd_center(args, out) -> int:
     return 0
 
 
-def _random_dataset(rng, n: int, m: int) -> list[Curve]:
-    return [
-        Curve(f"c{j:06d}", rng.integers(0, 1001, size=(m, 2)).astype(float))
-        for j in range(n)
-    ]
-
-
-def _cmd_bench(args, out) -> int:
-    try:
-        sizes = [int(s) for s in args.sizes.split(",") if s]
-    except ValueError:
-        raise _UsageError(f"bad --sizes value {args.sizes!r}")
-    rng = np.random.default_rng(args.seed)
-    out.write("structure,n,m,build_us,query_us_p50,query_us_p99\n")
-    for n in sizes:
-        if args.structure.endswith("segment-query"):
-            data = _random_dataset(rng, n, args.m)
-            queries = [
-                Segment(f"q{k}", rng.integers(0, 1001, 2).astype(float),
-                        rng.integers(0, 1001, 2).astype(float))
-                for k in range(args.queries)
-            ]
-            t0 = time.perf_counter()
-            if args.structure == "brute-segment-query":
-                index = oracles.BruteForceNN(data, "linf")
-                run = index.query
-            elif args.structure == "translation-segment-query":
-                run = TranslationCurveIndex(data).nearest
-            else:
-                run = SegmentQueryIndex(data).nearest
-            build_us = (time.perf_counter() - t0) * 1e6
-        else:
-            segs = [
-                Segment(f"s{k:06d}", rng.integers(0, 1001, 2).astype(float),
-                        rng.integers(0, 1001, 2).astype(float))
-                for k in range(n)
-            ]
-            queries = _random_dataset(rng, args.queries, args.m)
-            t0 = time.perf_counter()
-            if args.structure == "translation-curve-query":
-                run = TranslationSegmentIndex(segs).nearest_to_curve
-            else:
-                run = SegmentInputIndex(segs).nearest_to_curve
-            build_us = (time.perf_counter() - t0) * 1e6
-        times = []
-        for q in queries:
-            t0 = time.perf_counter()
-            run(q)
-            times.append((time.perf_counter() - t0) * 1e6)
-        p50, p99 = np.percentile(times, [50, 99])
-        out.write(f"{args.structure},{n},{args.m},{build_us:.0f},{p50:.1f},{p99:.1f}\n")
-    return 0
-
-
 def cli_dispatch(argv: Optional[Sequence[str]] = None,
                  out=None, err=None) -> int:
     out = out or sys.stdout
@@ -260,9 +194,7 @@ def cli_dispatch(argv: Optional[Sequence[str]] = None,
             return _cmd_dfd(args, out)
         if args.cmd == "nn":
             return _cmd_nn(args, out)
-        if args.cmd == "center":
-            return _cmd_center(args, out)
-        return _cmd_bench(args, out)
+        return _cmd_center(args, out)
     except _UsageError as e:
         err.write(f"usage error: {e}\n")
         return 2

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from itertools import chain
 from typing import Optional, Sequence
 
 import numpy as np
@@ -17,6 +18,8 @@ import numpy as np
 from .geometry import Curve, Segment
 
 __all__ = ["load_curves", "save_curves", "as_segments", "ResultRecord", "fmt"]
+
+_NUMBERS = frozenset((int, float))  # json's number types; bool is a subclass of int
 
 
 def fmt(x: float) -> str:
@@ -47,11 +50,16 @@ def load_curves(path) -> list[Curve]:
                     f"{path}:{ln}: duplicate id {cid!r} (first seen on line {seen[cid]})"
                 )
             seen[cid] = ln
+            pts = rec["points"]
             try:
-                arr = np.asarray(rec["points"], dtype=float)
+                arr = np.asarray(pts, dtype=float)
             except (TypeError, ValueError, OverflowError):  # ragged, non-numeric or too large
                 arr = np.empty(0)
-            if arr.ndim != 2 or arr.shape[1] != 2 or not len(arr):
+            # asarray also converts numeric strings and booleans; only a line with a
+            # true, a false or more quotes than "id", the id and "points" hold can have one
+            suspect = line.count('"') > 6 or "true" in line or "false" in line
+            if (arr.ndim != 2 or arr.shape[1] != 2 or not len(arr)
+                    or suspect and not _NUMBERS.issuperset(map(type, chain.from_iterable(pts)))):
                 raise ValueError(f"{path}:{ln}: points must be a non-empty list of [x, y]")
             if not np.isfinite(arr).all():
                 raise ValueError(f"{path}:{ln}: non-finite coordinate")

@@ -82,9 +82,6 @@ class Curve:
     def __len__(self) -> int:
         return self.pts.shape[0]
 
-    def reversed(self) -> "Curve":
-        return Curve(self.id, self.pts[::-1])
-
     def translated(self, t) -> "Curve":
         return Curve(self.id, self.pts + np.asarray(t, dtype=float).reshape(2))
 

@@ -100,13 +100,6 @@ def rect_key_table(curves: Sequence[Curve]) -> KeyTable:
     )
 
 
-def _describe(index: Optional[DominanceIndex]) -> dict:
-    """``index.describe()``, or all zeros for a structure without rows."""
-    if index is None:
-        return dict.fromkeys(("rows", "dims", "blocks", "block_size", "nbytes"), 0)
-    return index.describe()
-
-
 def _shift8(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.array([a[0], -a[0], a[1], -a[1], b[0], -b[0], b[1], -b[1]])
 
@@ -148,25 +141,21 @@ class SegmentQueryIndex:
 
     def __init__(self, curves: Sequence[Curve]):
         curves = list(curves)
-        self.table = rect_key_table(curves)
+        if not curves:
+            raise ValueError("curve structure requires a non-empty curve list")
+        t = rect_key_table(curves)
+        self.ids_by_rank = t.ids_by_rank
         self._curves = sorted(curves, key=lambda c: c.id)  # rank order
-        self._index = (
-            DominanceIndex(
-                self.table.values,
-                tags=self.table.tags,
-                block_size=64,
-                sort_keys=_morton_keys(self.table.values),
-            )
-            if self.table.values.shape[0]
-            else None
+        self._index = DominanceIndex(
+            t.values, tags=t.tags, block_size=64, sort_keys=_morton_keys(t.values)
         )
 
     def __len__(self) -> int:
-        return 0 if self._index is None else len(self._index)
+        return len(self._index)
 
     def describe(self) -> dict:
         """Size of the underlying index (see :meth:`DominanceIndex.describe`)."""
-        return _describe(self._index)
+        return self._index.describe()
 
     def decide(self, s: Segment, d: float) -> Optional[str]:
         """Some curve id within distance d of s, or None.
@@ -176,37 +165,34 @@ class SegmentQueryIndex:
         """
         if d < 0:
             raise ValueError("decision distance must be non-negative")
-        if self._index is None:
-            return None
         tag = self._index.decide(_shift8(s.a, s.b), d)
-        return None if tag is None else self.table.ids_by_rank[tag]
+        return None if tag is None else self.ids_by_rank[tag]
 
     def nearest(self, s: Segment) -> tuple[str, float]:
         """Closest curve and its exact distance (one shift row)."""
-        if self._index is None:
-            raise ValueError("nearest query on an empty structure")
         best, tag = self._index.nearest(_shift8(s.a, s.b))
-        return self.table.ids_by_rank[tag], best
+        return self.ids_by_rank[tag], best
 
     def nearest_l2(self, s: Segment) -> tuple[str, float]:
         """Closest curve under the L2 metric and its exact distance.
 
-        The L-inf winner's L2 distance U bounds the answer.  Every curve
-        at L2 distance at most U has a key within U under L-inf, since
-        d_inf <= d_2 at every split, so the keys below ``shift + U``
-        hold all candidates.  U is padded by a relative 1e-9 so that
-        rounding in U drops none; the padding can only add candidates.
-        Each candidate curve is refined once; ties go to the smallest id.
+        The L-inf winner's L2 distance U bounds the answer, and every
+        curve at L2 distance at most U has a key within U under L-inf:
+        at every split each of the kernel's differences ``v - s`` is,
+        up to an exact negation, the same float difference of a vertex
+        and an endpoint that the L2 distance takes the hypotenuse of,
+        and the hypotenuse is no shorter than either leg.  U is padded
+        by a relative 1e-9 all the same; the padding can only add
+        candidates.  Each candidate curve is refined once; ties go to
+        the smallest id.
         """
-        if self._index is None:
-            raise ValueError("nearest query on an empty structure")
         shift = _shift8(s.a, s.b)
         _, tag = self._index.nearest(shift)
         bound = dfd_segment_curve(s, self._curves[tag], "l2")[0]
-        ranks = np.unique(self._index.collect_thresholds(shift + bound * (1.0 + 1e-9)))
+        ranks = self._index.within(shift, bound * (1.0 + 1e-9))
         best, rank = min((dfd_segment_curve(s, self._curves[k], "l2")[0], k)
                          for k in ranks.tolist())
-        return self.table.ids_by_rank[rank], best
+        return self.ids_by_rank[rank], best
 
 
 class SegmentInputIndex:
@@ -227,17 +213,6 @@ class SegmentInputIndex:
     def describe(self) -> dict:
         """Size of the underlying index (see :meth:`DominanceIndex.describe`)."""
         return self._index.describe()
-
-    def segments_in(self, rect_a, rect_b) -> list[str]:
-        """Ids of segments with a in rect_a and b in rect_b (closed boxes).
-
-        Rectangles are ((x0, y0), (x1, y1)).
-        """
-        (ax0, ay0), (ax1, ay1) = rect_a
-        (bx0, by0), (bx1, by1) = rect_b
-        t = np.array([ax1, -ax0, ay1, -ay0, bx1, -bx0, by1, -by0])
-        tags = self._index.collect_thresholds(t)
-        return [self.ids_by_rank[k] for k in tags]
 
     def _shift_rows(self, q: Curve) -> np.ndarray:
         if len(q) < 2:

@@ -32,7 +32,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .geometry import Curve, Segment, partition_profile, partition_profiles, translation_keys
-from .nn_linf import KeyTable, _describe, _morton_keys, _ranked_ids, _segment_table
+from .nn_linf import KeyTable, _morton_keys, _ranked_ids, _segment_table
 from .rangetree import DominanceIndex
 
 __all__ = [
@@ -68,20 +68,19 @@ class TranslationCurveIndex:
     """Curve set indexed for nearest-curve segment queries under translation."""
 
     def __init__(self, curves: Sequence[Curve]):
-        self.table = translation_key_table(list(curves))
-        t = self.table
-        self._index = (
-            DominanceIndex(t.values, tags=t.tags, sort_keys=_morton_keys(t.values))
-            if t.values.shape[0]
-            else None
-        )
+        curves = list(curves)
+        if not curves:
+            raise ValueError("curve structure requires a non-empty curve list")
+        t = translation_key_table(curves)
+        self.ids_by_rank = t.ids_by_rank
+        self._index = DominanceIndex(t.values, tags=t.tags, sort_keys=_morton_keys(t.values))
 
     def __len__(self) -> int:
-        return 0 if self._index is None else len(self._index)
+        return len(self._index)
 
     def describe(self) -> dict:
         """Size of the underlying index (see :meth:`DominanceIndex.describe`)."""
-        return _describe(self._index)
+        return self._index.describe()
 
     def decide(self, s: Segment, d: float) -> Optional[str]:
         """Some curve within distance d of s under translation, or None.
@@ -92,17 +91,13 @@ class TranslationCurveIndex:
         """
         if d < 0:
             raise ValueError("decision distance must be non-negative")
-        if self._index is None:
-            return None
         tag = self._index.decide(_shift5(s.b - s.a), d, scales=_SCALES5)
-        return None if tag is None else self.table.ids_by_rank[tag]
+        return None if tag is None else self.ids_by_rank[tag]
 
     def nearest(self, s: Segment) -> tuple[str, float]:
         """Closest curve under translation, with its exact distance."""
-        if self._index is None:
-            raise ValueError("nearest query on an empty structure")
         best, tag = self._index.nearest(_shift5(s.b - s.a), scales=_SCALES5)
-        return self.table.ids_by_rank[tag], best
+        return self.ids_by_rank[tag], best
 
 
 class TranslationSegmentIndex:
@@ -123,12 +118,6 @@ class TranslationSegmentIndex:
     def describe(self) -> dict:
         """Size of the underlying index (see :meth:`DominanceIndex.describe`)."""
         return self._index.describe()
-
-    def points_in_rect(self, rect) -> list[str]:
-        """Ids whose difference point lies in the closed rectangle ((x0,y0),(x1,y1))."""
-        (x0, y0), (x1, y1) = rect
-        tags = self._index.collect_thresholds(np.array([-x0, x1, -y0, y1]))
-        return [self.ids_by_rank[k] for k in tags]
 
     def nearest_to_curve(self, q: Curve) -> tuple[str, float]:
         """Closest segment to q under translation, with exact distance.

@@ -3,22 +3,23 @@
 :class:`DominanceIndex` is the flat, block-pruned index behind every
 exact query in curveq.  Rows are sorted by a caller-chosen key (a Morton
 code in every structure) and grouped into blocks with componentwise
-minima.  One best-first search answers the min-max queries: blocks are
-visited in increasing order of a lower bound derived from their minima,
-and the search stops once no unvisited block can beat the best distance
-found (Roussopoulos, Kelley & Vincent, SIGMOD 1995; Hjaltason & Samet,
-TODS 1999).  Bounds are exact because ``x -> (x - s) / scale`` rounds
-monotonically; for the same reason a shift row that another row
-dominates (no larger in any column, constant no smaller) is never closer
-to any stored row, and a query with at most four shift rows per block
-drops it first (the skyline of Börzsönyi, Kossmann & Stocker, ICDE 2001,
-on the query side).  Threshold
-queries (:meth:`DominanceIndex.collect_thresholds`) return every row
-below a componentwise bound.  Values are stored
-column-major, one contiguous row per dimension (the column-store layout of
-Boncz, Zukowski & Nes, CIDR 2005), so the max over the D columns reduces
-over the leading axis: NumPy takes elementwise maxima of long contiguous
-rows instead of reducing many trailing axes of only 4-8 columns.
+minima.  Every query has one form, a minimum over shift rows of a
+maximum over columns of ``(value - shift) / scale``.  One best-first
+search answers it (:meth:`DominanceIndex.nearest`): blocks are visited in
+increasing order of a lower bound derived from their minima, and the
+search stops once no unvisited block can beat the best distance found
+(Roussopoulos, Kelley & Vincent, SIGMOD 1995; Hjaltason & Samet, TODS
+1999); :meth:`DominanceIndex.within` scans the blocks whose bound is at
+most a given distance.  Bounds are exact because ``x -> (x - s) /
+scale`` rounds monotonically; for the same reason a shift row that
+another row dominates (no larger in any column, constant no smaller) is
+never closer to any stored row, and a query with at most four shift rows
+per block drops it first (the skyline of Börzsönyi, Kossmann & Stocker,
+ICDE 2001, on the query side).  Values are stored column-major, one
+contiguous row per dimension (the column-store layout of Boncz, Zukowski
+& Nes, CIDR 2005), so the max over the D columns reduces over the leading
+axis: NumPy takes elementwise maxima of long contiguous rows instead of
+reducing many trailing axes of only 4-8 columns.
 """
 
 from __future__ import annotations
@@ -54,10 +55,11 @@ class DominanceIndex:
 
         max(c_r, max_k (v[k] - s_r[k]) / scale[k])
 
-    and :meth:`nearest` minimizes it over all (r, v) pairs.  Every
-    difference is evaluated exactly as written, which keeps results
-    bit-identical to brute-force scans computing the same differences.
-    Scales must be powers of two (1 or 2 here) so the quotients are exact.
+    :meth:`nearest` minimizes it over all (r, v) pairs and :meth:`within`
+    collects the rows where it is at most a given d.  Every difference is
+    evaluated exactly as written, which keeps results bit-identical to
+    brute-force scans computing the same differences.  Scales must be
+    powers of two (1 or 2 here) so the quotients are exact.
 
     The sorted values are held once, as the C-contiguous (D, N) array
     ``cols``; block minima are (D, blocks).  Distances are (D, R, rows)
@@ -106,25 +108,15 @@ class DominanceIndex:
 
     # -- min-max queries ------------------------------------------------------
 
-    def nearest(self, shift_rows, scales=None, row_consts=None, stop=None):
-        """``(distance, tag)`` of the minimizing pair; ties to the smallest tag.
+    def _dist(self, shift_rows, scales, row_consts):
+        """``dist(v, rows)``: distances of the (D, n) values v under the
+        selected shift rows, shape (rows, n).
 
         When there are at most four shift rows per block, rows that
         another row dominates are dropped first (see :func:`_undominated`):
         by monotone rounding their distance to every row, and their bound
-        on every block, is at least their dominator's, so the answer, the
-        block order and the ``stop`` hits do not change.
-        A zero distance is returned as ``0.0``, never ``-0.0``.
-
-        Per (shift row, block) the lower bound is the distance of the
-        block's componentwise minima.  Blocks are visited in increasing
-        order of their smallest bound, and inside a block only the shift
-        rows whose bound does not exceed the best distance so far are
-        evaluated.  The search ends at the first block whose bound is
-        above the best distance, so blocks that tie it are still visited.
-
-        With ``stop`` the search returns the first pair found at distance
-        at most ``stop`` instead, or None when there is none.
+        on every block, is at least their dominator's, so no minimum, no
+        block order and no set of rows within a distance changes.
         """
         st = np.ascontiguousarray(np.atleast_2d(np.asarray(shift_rows, dtype=float)).T)
         scale = None if scales is None else np.asarray(scales, dtype=float).reshape(-1, 1, 1)
@@ -141,10 +133,23 @@ class DominanceIndex:
             d = diff.max(axis=0)
             return d if consts is None else np.maximum(d, consts[rows, None])
 
+        return dist
+
+    def nearest(self, shift_rows, scales=None, row_consts=None):
+        """``(distance, tag)`` of the minimizing pair; ties to the smallest tag.
+
+        Per (shift row, block) the lower bound is the distance of the
+        block's componentwise minima.  Blocks are visited in increasing
+        order of their smallest bound, and inside a block only the shift
+        rows whose bound does not exceed the best distance so far are
+        evaluated.  The search ends at the first block whose bound is
+        above the best distance, so blocks that tie it are still visited.
+        A zero distance is returned as ``0.0``, never ``-0.0``.
+        """
+        dist = self._dist(shift_rows, scales, row_consts)
         bounds = dist(self._bmins, slice(None))  # (R, blocks)
         block_lb = bounds.min(axis=0)
-        best = math.inf if stop is None else float(stop)
-        best_tag = None
+        best, best_tag = math.inf, None
         for bi in np.argsort(block_lb, kind="stable").tolist():
             if block_lb[bi] > best:
                 break
@@ -154,29 +159,28 @@ class DominanceIndex:
             m = d.min()
             if m > best:
                 continue
-            if stop is not None:
-                return float(m) + 0.0, self.tags[lo + int(np.argmin(d))]
             tag = self.tags[lo:lo + self._b][d == m].min()
             if best_tag is None or m < best or tag < best_tag:
                 best, best_tag = float(m) + 0.0, tag  # + 0.0 turns -0.0 into 0.0
-        return None if best_tag is None else (best, best_tag)
+        return best, best_tag
 
     def decide(self, shift_rows, d: float, scales=None):
-        """Tag of some row at distance at most d (see :meth:`nearest`), else None."""
-        hit = self.nearest(shift_rows, scales, stop=d)
-        return None if hit is None else hit[1]
+        """The nearest tag (see :meth:`nearest`) when its distance is at most d, else None."""
+        best, tag = self.nearest(shift_rows, scales)
+        return tag if best <= d else None
 
-    # -- threshold-form queries -----------------------------------------------
-
-    def collect_thresholds(self, thresholds) -> np.ndarray:
-        """Tags of all rows satisfying v <= thresholds componentwise."""
-        thresholds = np.asarray(thresholds, dtype=float).reshape(-1, 1)
-        out = []
-        for bi in np.nonzero((self._bmins <= thresholds).all(axis=0))[0]:
-            rows = slice(bi * self._b, (bi + 1) * self._b)
-            ok = (self.cols[:, rows] <= thresholds).all(axis=0)
-            if ok.any():
-                out.append(self.tags[rows][ok])
-        if not out:
-            return np.empty(0, dtype=self.tags.dtype)
-        return np.sort(np.concatenate(out))
+    def within(self, shift_rows, d: float, scales=None, row_consts=None) -> np.ndarray:
+        """Sorted distinct tags of the rows at distance at most d under some
+        shift row (see :meth:`nearest`).  Each shift row is evaluated in one
+        gather of the blocks whose bound under it is at most d, so the
+        temporaries stay within a few times the bytes of ``cols``."""
+        dist = self._dist(shift_rows, scales, row_consts)
+        hits = dist(self._bmins, slice(None)) <= d  # (R, blocks)
+        out = [self.tags[:0]]
+        for r in np.flatnonzero(hits.any(axis=1)).tolist():
+            rows = (np.flatnonzero(hits[r])[:, None] * self._b + np.arange(self._b)).ravel()
+            rows = rows[rows < self._n]
+            # take copies in C order; cols[:, rows] would be F-ordered and slow
+            near = dist(self.cols.take(rows, axis=1), slice(r, r + 1))[0] <= d
+            out.append(self.tags[rows[near]])
+        return np.unique(np.concatenate(out))

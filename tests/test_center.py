@@ -14,12 +14,10 @@ from curveq import (
     center_linf_translation,
     dfd_segment_curve,
     min_enclosing_ball,
-    partition_profile,
-    r_lower_bound,
 )
 from curveq.center import MAX_RADII_VERTICES
 from curveq.oracles import center_brute
-from conftest import rand_curve, rand_curves
+from conftest import rand_curves
 
 
 def linf_center_oracle(curves):
@@ -43,23 +41,6 @@ def l2_center_oracle(curves):
         suf = np.vstack([c.pts[i:] for c, i in zip(curves, splits)])
         best = min(best, max(min_enclosing_ball(pre)[1], min_enclosing_ball(suf)[1]))
     return best
-
-
-def translation_feasible(curves, splits, pairing, r, dx, dy):
-    """Raw check: per curve a translation putting prefix in S, suffix in T."""
-    sx, sy = pairing
-    s_x = (0.0, 2 * r) if sx > 0 else (dx - 2 * r, dx)
-    t_x = (dx - 2 * r, dx) if sx > 0 else (0.0, 2 * r)
-    s_y = (0.0, 2 * r) if sy > 0 else (dy - 2 * r, dy)
-    t_y = (dy - 2 * r, dy) if sy > 0 else (0.0, 2 * r)
-    for c, i in zip(curves, splits):
-        pre, suf = c.pts[:i], c.pts[i:]
-        for axis, s_iv, t_iv in ((0, s_x, t_x), (1, s_y, t_y)):
-            lo = max(s_iv[0] - pre[:, axis].min(), t_iv[0] - suf[:, axis].min())
-            hi = min(s_iv[1] - pre[:, axis].max(), t_iv[1] - suf[:, axis].max())
-            if lo > hi:
-                return False
-    return True
 
 
 def verify_solution(sol, curves, tol=1e-9):
@@ -121,32 +102,6 @@ class TestCenterLinfTranslation:
         for _ in range(40):
             curves = rand_curves(rng, int(rng.integers(1, 5)), 4, hi=30)
             assert center_linf_translation(curves).radius <= center_linf(curves).radius
-
-
-class TestRLowerBound:
-    def test_two_vertex_gap_equals_delta(self):
-        c = Curve("a", [[0, 0], [8, 0]])
-        p = partition_profile(c)
-        assert r_lower_bound(p, 1, (1, 1), 8.0, 0.0) == 0.0
-
-    def test_span_case(self):
-        c = Curve("b", [[0, 0], [6, 0]])
-        p = partition_profile(c)
-        assert r_lower_bound(p, 1, (1, 1), 8.0, 0.0) == 0.5
-
-    def test_boundary_feasibility(self, rng):
-        # feasible exactly at the bound, infeasible just below
-        for _ in range(60):
-            c = rand_curve(rng, "c", int(rng.integers(2, 6)), hi=20)
-            dx = float(c.pts[:, 0].max() - c.pts[:, 0].min())
-            dy = float(c.pts[:, 1].max() - c.pts[:, 1].min())
-            p = partition_profile(c)
-            i = int(rng.integers(1, len(c)))
-            pairing = ((1, 1), (1, -1), (-1, 1), (-1, -1))[int(rng.integers(0, 4))]
-            r = r_lower_bound(p, i, pairing, dx, dy)
-            assert translation_feasible([c], [i], pairing, r, dx, dy)
-            if r > 1e-6:
-                assert not translation_feasible([c], [i], pairing, r - 1e-6, dx, dy)
 
 
 class TestCandidateRadii:

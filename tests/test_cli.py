@@ -167,6 +167,14 @@ class TestExitCodes:
         assert rc == 1
         assert ":1:" in err
 
+    @pytest.mark.parametrize("extra", [[], ["--translation"]])
+    def test_empty_dataset_is_data_error(self, tmp_path, extra):
+        empty = tmp_path / "empty.jsonl"
+        empty.write_text("")
+        rc, out, err = run(["nn", "--data", str(empty), "--queries", str(DATA / "queries_seg.jsonl"),
+                            "--metric", "linf", "--direction", "segment-query", *extra])
+        assert (rc, out, err) == (1, "", "error: empty dataset\n")
+
 
 class TestDirection:
     def test_singleton_dataset_returns_it(self, tmp_path):
@@ -194,18 +202,3 @@ class TestDirection:
                           "--metric", "linf", "--timings"])
         assert rc == 0
         assert all("timing_us" in line for line in out.splitlines())
-
-
-class TestBench:
-    def test_csv_header_and_rows(self):
-        rc, out, _ = run(["bench", "--sizes", "30,60", "--m", "4",
-                          "--queries", "5", "--seed", "1"])
-        assert rc == 0
-        lines = out.splitlines()
-        assert lines[0] == "structure,n,m,build_us,query_us_p50,query_us_p99"
-        assert len(lines) == 3
-        assert lines[1].startswith("linf-segment-query,30,4,")
-
-    def test_bad_sizes_is_usage_error(self):
-        rc, _, _ = run(["bench", "--sizes", "abc"])
-        assert rc == 2

@@ -54,6 +54,7 @@ class TestLoadCurves:
     @pytest.mark.parametrize("points", [
         "[[[1, 2], [3, 4]]]", "[[1, 2, 3]]", "[1, 2]", "[[]]", "[]", "[[1, 2], [3]]",
         '[[1, "a"]]', '{"x": 1}', f"[[1{'0' * 400}, 0]]",
+        '[["1", 2], [3, 4]]', "[[true, false]]", "[[true, 2], [3, 4]]",
     ])
     def test_bad_points_report_line(self, tmp_path, points):
         p = tmp_path / "shape.jsonl"
@@ -61,6 +62,12 @@ class TestLoadCurves:
                      f'{{"id": "x", "points": {points}}}\n')
         with pytest.raises(ValueError, match=r":2: points must be a non-empty list of \[x, y\]"):
             load_curves(p)
+
+    def test_numbers_load_beside_quotes_and_words(self, tmp_path):
+        # extra string fields and an id spelling true/false run the type scan
+        p = tmp_path / "words.jsonl"
+        p.write_text('{"id": "true false", "points": [[1, 2.5], [-0.0, 1e3]], "note": "x"}\n')
+        assert load_curves(p)[0].pts.tolist() == [[1.0, 2.5], [-0.0, 1000.0]]
 
     def test_missing_points_rejected(self, tmp_path):
         p = tmp_path / "nopoints.jsonl"

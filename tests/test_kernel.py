@@ -1,8 +1,8 @@
 """Property tests of the best-first kernel, every exact structure, the
 center solvers and the flat partition profile.
 
-``DominanceIndex.nearest`` and ``decide`` are compared with a NumPy scan
-over every (shift row, row) pair; each structure's ``nearest`` with
+``DominanceIndex.nearest``, ``decide`` and ``within`` are compared with a
+NumPy scan over every (shift row, row) pair; each structure's ``nearest`` with
 ``curveq.oracles.nn_brute``, each center solver with
 ``curveq.oracles.center_brute`` and ``partition_profiles`` with the
 per-curve ``partition_profile`` on degenerate curves.
@@ -91,7 +91,7 @@ def kernel_cases(draw):
 
 @SETTINGS
 @given(kernel_cases(), st.integers(-6, 6))
-def test_nearest_and_decide_match_brute(case, stop_steps):
+def test_nearest_and_decide_match_brute(case, offset_steps):
     values, tags, shifts, scales, consts, block, keys = case
     idx = DominanceIndex(values, keys, tags=tags, block_size=block)
     per_row, want = brute_min_max(values, tags, shifts, scales, consts)
@@ -99,21 +99,14 @@ def test_nearest_and_decide_match_brute(case, stop_steps):
     assert got == want
     assert got[0] != 0 or not np.signbit(got[0])  # a zero is +0.0
 
-    # decide at the optimum, just above and below it, and at far values
+    # within and decide at the optimum, one ulp below it, and at offsets
+    # above and below it
     unit = max(1.0, float(np.abs(values).max()))
-    for d in (want[0], want[0] + stop_steps * 0.25 * unit):
-        hit = idx.nearest(shifts, scales=scales, row_consts=consts, stop=d)
-        if want[0] > d:
-            assert hit is None
-        else:
-            assert hit is not None and hit[0] <= d
-            assert hit[0] != 0 or not np.signbit(hit[0])
-            assert hit[0] in per_row[tags == hit[1]]
+    for d in (want[0], np.nextafter(want[0], -np.inf), want[0] + offset_steps * 0.25 * unit):
+        got = idx.within(shifts, d, scales, consts)
+        assert np.array_equal(got, np.unique(tags[per_row <= d]))
         if consts is None:
-            tag = idx.decide(shifts, d, scales=scales)
-            assert (tag is None) == (want[0] > d)
-            if tag is not None:
-                assert (per_row[tags == tag] <= d).any()
+            assert idx.decide(shifts, d, scales=scales) == (want[1] if want[0] <= d else None)
 
 
 def undominated_by_definition(shifts, consts):
@@ -169,8 +162,7 @@ def test_zero_distance_is_positive_zero():
     # -0.0 - 0.0 is -0.0: the raw minimum is a negative zero
     idx = DominanceIndex([[-0.0, -1.0], [3.0, 3.0]], [0, 1], block_size=1)
     for shifts in ([[0.0, 0.0]], [[0.0, 0.0], [0.0, -0.0], [-1.0, 0.0]]):
-        for got in (idx.nearest(shifts), idx.nearest(shifts, stop=0.0),
-                    idx.nearest(shifts, row_consts=[-0.0] * len(shifts))):
+        for got in (idx.nearest(shifts), idx.nearest(shifts, row_consts=[-0.0] * len(shifts))):
             assert got == (0.0, 0) and not np.signbit(got[0])
 
 
@@ -367,5 +359,8 @@ def test_structures_describe_their_index(build, items, rows):
 
 
 def test_empty_curve_structures_describe_zero():
-    assert SegmentQueryIndex([]).describe()["nbytes"] == 0
-    assert TranslationCurveIndex([]).describe()["rows"] == 0
+    # no structure holds zero rows: like the segment structures, the curve
+    # structures refuse an empty list, so there is nothing to describe
+    for build in (SegmentQueryIndex, TranslationCurveIndex):
+        with pytest.raises(ValueError, match="non-empty curve list"):
+            build([])

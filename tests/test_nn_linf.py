@@ -89,10 +89,8 @@ class TestSegmentQueryIndex:
         assert idx.nearest(Segment("s", [0, 1], [10, 1])) == ("C1", 0.0)
 
     def test_nearest_empty_structure(self):
-        idx = SegmentQueryIndex([])
-        with pytest.raises(ValueError):
-            idx.nearest(Segment("s", [0, 0], [1, 0]))
-        assert idx.decide(Segment("s", [0, 0], [1, 0]), 5.0) is None
+        with pytest.raises(ValueError, match="non-empty curve list"):
+            SegmentQueryIndex([])
 
     def test_nearest_matches_brute(self, rng):
         for _ in range(30):
@@ -101,6 +99,12 @@ class TestSegmentQueryIndex:
             for _ in range(6):
                 s = rand_segment(rng, "q")
                 assert idx.nearest(s) == brute_nearest_curve(curves, s)
+
+    def test_nearest_l2_keeps_the_curve_at_the_bound(self):
+        # axis-aligned: the L-inf winner's L2 distance U is also its L-inf
+        # key distance, so it sits exactly at the candidate filter's bound
+        idx = SegmentQueryIndex([Curve("far", [[0, 3], [10, 3]]), Curve("C1", [[0, 1], [10, 1]])])
+        assert idx.nearest_l2(Segment("s", [0, 0], [10, 0])) == ("C1", 1.0)
 
     def test_tie_break_smallest_id(self):
         # two identical curves under different ids
@@ -111,12 +115,21 @@ class TestSegmentQueryIndex:
         assert idx.nearest(Segment("s", [0, 0], [10, 0]))[0] == "aa"
 
 
+def segments_in(idx, rect_a, rect_b):
+    """Ids of segments with a in rect_a and b in rect_b, closed boxes
+    ((x0, y0), (x1, y1)): the index rows within 0 of one shift row."""
+    (ax0, ay0), (ax1, ay1) = rect_a
+    (bx0, by0), (bx1, by1) = rect_b
+    t = [ax1, -ax0, ay1, -ay0, bx1, -bx0, by1, -by0]
+    return [idx.ids_by_rank[k] for k in idx._index.within(t, 0.0)]
+
+
 class TestSegmentInputIndex:
     def test_rect_pair_queries(self, rng):
         seg = Segment("only", [1, 2], [3, 4])
         idx = SegmentInputIndex([seg])
-        assert idx.segments_in(((1, 2), (1, 2)), ((3, 4), (3, 4))) == ["only"]
-        assert idx.segments_in(((5, 5), (6, 6)), ((3, 4), (3, 4))) == []
+        assert segments_in(idx, ((1, 2), (1, 2)), ((3, 4), (3, 4))) == ["only"]
+        assert segments_in(idx, ((5, 5), (6, 6)), ((3, 4), (3, 4))) == []
 
     def test_rect_pair_matches_linear_scan(self, rng):
         segs = rand_segments(rng, 40)
@@ -126,7 +139,7 @@ class TestSegmentInputIndex:
             hi_a = lo_a + rng.integers(0, 40, 2)
             lo_b = rng.integers(0, 80, 2)
             hi_b = lo_b + rng.integers(0, 40, 2)
-            got = idx.segments_in((lo_a, hi_a), (lo_b, hi_b))
+            got = segments_in(idx, (lo_a, hi_a), (lo_b, hi_b))
             want = sorted(
                 s.id for s in segs
                 if (lo_a <= s.a).all() and (s.a <= hi_a).all()

@@ -184,7 +184,9 @@ class TestTranslationSegmentIndex:
         for _ in range(100):
             lo = rng.integers(-60, 40, 2)
             hi = lo + rng.integers(0, 50, 2)
-            got = idx.points_in_rect((lo, hi))
+            # the difference point in [lo, hi] is distance 0 under one shift row
+            tags = idx._index.within([-lo[0], hi[0], -lo[1], hi[1]], 0.0)
+            got = [idx.ids_by_rank[k] for k in tags]
             want = sorted(
                 segs[k].id for k in range(len(segs))
                 if (lo <= pts[k]).all() and (pts[k] <= hi).all()
