@@ -121,7 +121,8 @@ def _corner_sweep(cols: np.ndarray, keys: np.ndarray, r0: float) -> tuple[float,
     """
     order = np.argsort(keys, kind="stable")
     ks = keys[order]
-    rev = cols[:, order][:, ::-1]  # suffix extrema in key order
+    # suffix extrema in key order; take copies in C order (cols[:, order] is F-ordered)
+    rev = cols.take(order, axis=1)[:, ::-1]
     hi = np.maximum.accumulate(rev, axis=1)[:, ::-1]
     lo = np.minimum.accumulate(rev, axis=1)[:, ::-1]
     sides = np.concatenate(([r0], ks[(ks >= r0) & (ks < np.inf)]))

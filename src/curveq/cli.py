@@ -95,27 +95,21 @@ def _cmd_nn(args, out) -> int:
     if direction == "auto":
         direction = _detect_direction(data, queries)
 
-    records = []
     if direction == "segment-query":
-        qsegs = [Segment(q.id, q.pts[0], q.pts[-1]) if len(q) == 2 else None for q in queries]
-        if any(s is None for s in qsegs):
+        items = [Segment(q.id, q.pts[0], q.pts[-1]) if len(q) == 2 else None for q in queries]
+        if any(s is None for s in items):
             raise ValueError("segment-query direction needs 2-point query records")
         answer = _segment_query_answerer(args, data)
-        for s in qsegs:
-            t0 = time.perf_counter()
-            aid, dist = answer(s)
-            us = (time.perf_counter() - t0) * 1e6
-            records.append(ResultRecord(s.id, aid, dist, args.metric, args.translation,
-                                        args.epsilon, args.radius, us))
     else:
-        segs = as_segments(data)
-        answer = _curve_query_answerer(args, segs)
-        for q in queries:
-            t0 = time.perf_counter()
-            aid, dist = answer(q)
-            us = (time.perf_counter() - t0) * 1e6
-            records.append(ResultRecord(q.id, aid, dist, args.metric, args.translation,
-                                        args.epsilon, args.radius, us))
+        items = queries
+        answer = _curve_query_answerer(args, as_segments(data))
+    records = []
+    for item in items:
+        t0 = time.perf_counter()
+        aid, dist = answer(item)
+        us = (time.perf_counter() - t0) * 1e6
+        records.append(ResultRecord(item.id, aid, dist, args.metric, args.translation,
+                                    args.epsilon, args.radius, us))
     for rec in records:
         out.write(rec.to_json(include_timing=args.timings) + "\n")
     return 0

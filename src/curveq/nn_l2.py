@@ -226,7 +226,8 @@ class KgonStructure:
     the k outward unit normals n_t; it contains the L2 ball of radius d
     and fits in the ball of radius d/cos(pi/k).  A curve query reduces to
     2k one-sided conditions per split on running minima of vertex support
-    values.
+    values: at split i, endpoint a needs a.n_t <= (prefix min of p.n_t) + d
+    for every orientation t, and b the suffix analogue.
     """
 
     def __init__(self, segments: Sequence[Segment], eps: float):
@@ -241,9 +242,6 @@ class KgonStructure:
             sort_keys=_morton_keys(np.hstack([a, b])),
         )
 
-    def __len__(self) -> int:
-        return len(self._index)
-
     def describe(self) -> dict:
         """Size of the underlying index (see :meth:`DominanceIndex.describe`)."""
         return self._index.describe()
@@ -255,17 +253,6 @@ class KgonStructure:
         pre = np.minimum.accumulate(dots, axis=0)[:-1]
         suf = np.minimum.accumulate(dots[::-1], axis=0)[::-1][1:]
         return np.hstack([pre, suf])
-
-    def decide(self, q: Curve, d: float) -> Optional[str]:
-        """Some segment whose k-gon distance to q is at most d, or None.
-
-        Per split i, endpoint a must satisfy a.n_t <= (prefix min of
-        p.n_t) + d for every orientation t, and b the suffix analogue.
-        """
-        if d < 0:
-            raise ValueError("decision distance must be non-negative")
-        tag = self._index.decide(self._shift_rows(q), d)
-        return None if tag is None else self.ids_by_rank[tag]
 
     def nearest(self, q: Curve) -> tuple[str, float]:
         """Nearest segment with distance estimate d~ in [d*, (1+eps) d*].

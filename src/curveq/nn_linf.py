@@ -30,7 +30,7 @@ U has a key within U under L-inf.  Those curves are refined with
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -81,23 +81,26 @@ class KeyTable:
     ids_by_rank: list[str]
 
 
-def rect_key_table(curves: Sequence[Curve]) -> KeyTable:
+def _curve_tags(curves: Sequence[Curve]) -> tuple[list[str], np.ndarray]:
+    """Ids in sorted order, and one tag per (curve, split), curve by curve:
+    the curve's rank in that order.  Every curve needs m >= 2."""
     for c in curves:
         if len(c) < 2:
             raise ValueError(
                 f"curve {c.id!r} has {len(c)} vertex; indexed structures require m >= 2"
             )
     ids_by_rank, ranks = _ranked_ids([c.id for c in curves])
+    return ids_by_rank, np.repeat(ranks, [len(c) - 1 for c in curves])
+
+
+def rect_key_table(curves: Sequence[Curve]) -> KeyTable:
+    ids_by_rank, tags = _curve_tags(curves)
     rows = []
     for c in curves:
         prof = partition_profile(c)
         rows.append(np.column_stack([getattr(prof, f) for f in _KEY_FIELDS]))
     raw = np.vstack(rows) if rows else np.empty((0, 8))
-    return KeyTable(
-        values=raw * _SIGNS8,
-        tags=np.repeat(ranks, [len(c) - 1 for c in curves]),
-        ids_by_rank=ids_by_rank,
-    )
+    return KeyTable(values=raw * _SIGNS8, tags=tags, ids_by_rank=ids_by_rank)
 
 
 def _shift8(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -150,23 +153,9 @@ class SegmentQueryIndex:
             t.values, tags=t.tags, block_size=64, sort_keys=_morton_keys(t.values)
         )
 
-    def __len__(self) -> int:
-        return len(self._index)
-
     def describe(self) -> dict:
         """Size of the underlying index (see :meth:`DominanceIndex.describe`)."""
         return self._index.describe()
-
-    def decide(self, s: Segment, d: float) -> Optional[str]:
-        """Some curve id within distance d of s, or None.
-
-        Conditions per key: a.x >= pre_max_x - d, a.x <= pre_min_x + d,
-        the same in y, and the four suffix conditions against b.
-        """
-        if d < 0:
-            raise ValueError("decision distance must be non-negative")
-        tag = self._index.decide(_shift8(s.a, s.b), d)
-        return None if tag is None else self.ids_by_rank[tag]
 
     def nearest(self, s: Segment) -> tuple[str, float]:
         """Closest curve and its exact distance (one shift row)."""
@@ -207,9 +196,6 @@ class SegmentInputIndex:
             values, tags=ranks, sort_keys=_morton_keys(np.hstack([a, b]))
         )
 
-    def __len__(self) -> int:
-        return len(self._index)
-
     def describe(self) -> dict:
         """Size of the underlying index (see :meth:`DominanceIndex.describe`)."""
         return self._index.describe()
@@ -223,18 +209,8 @@ class SegmentInputIndex:
             p.suf_min_x, -p.suf_max_x, p.suf_min_y, -p.suf_max_y,
         ])
 
-    def decide(self, q: Curve, d: float) -> Optional[str]:
-        """Some segment id within distance d of curve q, or None.
-
-        Computes q's partition profile once; each split is one shift row
-        (a rectangle pair).
-        """
-        if d < 0:
-            raise ValueError("decision distance must be non-negative")
-        tag = self._index.decide(self._shift_rows(q), d)
-        return None if tag is None else self.ids_by_rank[tag]
-
     def nearest_to_curve(self, q: Curve) -> tuple[str, float]:
-        """Closest segment to q and its exact distance."""
+        """Closest segment to q and its exact distance; each split of q is
+        one shift row (a rectangle pair) from q's partition profile."""
         best, tag = self._index.nearest(self._shift_rows(q))
         return self.ids_by_rank[tag], best

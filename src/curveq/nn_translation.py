@@ -27,12 +27,12 @@ to the smallest id.
 
 from __future__ import annotations
 
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from .geometry import Curve, Segment, partition_profile, partition_profiles, translation_keys
-from .nn_linf import KeyTable, _morton_keys, _ranked_ids, _segment_table
+from .nn_linf import KeyTable, _curve_tags, _morton_keys, _segment_table
 from .rangetree import DominanceIndex
 
 __all__ = [
@@ -46,17 +46,10 @@ _SCALES5 = np.array([1.0, 2.0, 2.0, 2.0, 2.0])
 
 def translation_key_table(curves: Sequence[Curve]) -> KeyTable:
     """Rows (r, u2, -u1, u4, -u3) for every (curve, split), curve by curve."""
-    for c in curves:
-        if len(c) < 2:
-            raise ValueError(
-                f"curve {c.id!r} has {len(c)} vertex; indexed structures require m >= 2"
-            )
-    ids_by_rank, ranks = _ranked_ids([c.id for c in curves])
+    ids_by_rank, tags = _curve_tags(curves)
     r, u1, u2, u3, u4 = translation_keys(partition_profiles(curves))
     return KeyTable(
-        values=np.column_stack([r, u2, -u1, u4, -u3]),
-        tags=np.repeat(ranks, [len(c) - 1 for c in curves]),
-        ids_by_rank=ids_by_rank,
+        values=np.column_stack([r, u2, -u1, u4, -u3]), tags=tags, ids_by_rank=ids_by_rank
     )
 
 
@@ -75,24 +68,9 @@ class TranslationCurveIndex:
         self.ids_by_rank = t.ids_by_rank
         self._index = DominanceIndex(t.values, tags=t.tags, sort_keys=_morton_keys(t.values))
 
-    def __len__(self) -> int:
-        return len(self._index)
-
     def describe(self) -> dict:
         """Size of the underlying index (see :meth:`DominanceIndex.describe`)."""
         return self._index.describe()
-
-    def decide(self, s: Segment, d: float) -> Optional[str]:
-        """Some curve within distance d of s under translation, or None.
-
-        Per key: r <= d, u2 - c.x <= 2d, c.x - u1 <= 2d, u4 - c.y <= 2d,
-        c.y - u3 <= 2d, with c = b - a signed (equivalently the four
-        orientation-specific formulations of the same conditions).
-        """
-        if d < 0:
-            raise ValueError("decision distance must be non-negative")
-        tag = self._index.decide(_shift5(s.b - s.a), d, scales=_SCALES5)
-        return None if tag is None else self.ids_by_rank[tag]
 
     def nearest(self, s: Segment) -> tuple[str, float]:
         """Closest curve under translation, with its exact distance."""
@@ -111,9 +89,6 @@ class TranslationSegmentIndex:
             tags=ranks,
             sort_keys=_morton_keys(c),
         )
-
-    def __len__(self) -> int:
-        return len(self._index)
 
     def describe(self) -> dict:
         """Size of the underlying index (see :meth:`DominanceIndex.describe`)."""

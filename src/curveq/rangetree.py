@@ -88,19 +88,12 @@ class DominanceIndex:
         self._n = n
         self._b = b
 
-    def __len__(self) -> int:
-        return self._n
-
-    @property
-    def dims(self) -> int:
-        return self.cols.shape[0]
-
     def describe(self) -> dict:
         """Rows, dims, blocks, block size and bytes held in arrays."""
         arrays = (self.cols, self.tags, self._starts, self._bmins)
         return {
             "rows": self._n,
-            "dims": self.dims,
+            "dims": self.cols.shape[0],
             "blocks": len(self._starts),
             "block_size": self._b,
             "nbytes": sum(a.nbytes for a in arrays),
@@ -163,11 +156,6 @@ class DominanceIndex:
             if best_tag is None or m < best or tag < best_tag:
                 best, best_tag = float(m) + 0.0, tag  # + 0.0 turns -0.0 into 0.0
         return best, best_tag
-
-    def decide(self, shift_rows, d: float, scales=None):
-        """The nearest tag (see :meth:`nearest`) when its distance is at most d, else None."""
-        best, tag = self.nearest(shift_rows, scales)
-        return tag if best <= d else None
 
     def within(self, shift_rows, d: float, scales=None, row_consts=None) -> np.ndarray:
         """Sorted distinct tags of the rows at distance at most d under some

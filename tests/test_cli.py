@@ -196,6 +196,14 @@ class TestDirection:
         assert rc == 0
         assert len(out.splitlines()) == 4
 
+    def test_segment_query_direction_rejects_longer_queries(self, tmp_path):
+        q = tmp_path / "q.jsonl"
+        q.write_text('{"id": "q", "points": [[0, 0], [1, 1], [2, 0]]}\n')
+        rc, out, err = run(["nn", "--data", str(DATA / "curves_small.jsonl"), "--queries", str(q),
+                            "--metric", "linf", "--direction", "segment-query"])
+        assert (rc, out) == (1, "")
+        assert err == "error: segment-query direction needs 2-point query records\n"
+
     def test_timings_flag_adds_field(self):
         rc, out, _ = run(["nn", "--data", str(DATA / "curves_small.jsonl"),
                           "--queries", str(DATA / "queries_seg.jsonl"),

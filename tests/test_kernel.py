@@ -1,8 +1,8 @@
 """Property tests of the best-first kernel, every exact structure, the
 center solvers and the flat partition profile.
 
-``DominanceIndex.nearest``, ``decide`` and ``within`` are compared with a
-NumPy scan over every (shift row, row) pair; each structure's ``nearest`` with
+``DominanceIndex.nearest`` and ``within`` are compared with a NumPy scan
+over every (shift row, row) pair; each structure's ``nearest`` with
 ``curveq.oracles.nn_brute``, each center solver with
 ``curveq.oracles.center_brute`` and ``partition_profiles`` with the
 per-curve ``partition_profile`` on degenerate curves.
@@ -91,7 +91,7 @@ def kernel_cases(draw):
 
 @SETTINGS
 @given(kernel_cases(), st.integers(-6, 6))
-def test_nearest_and_decide_match_brute(case, offset_steps):
+def test_nearest_and_within_match_brute(case, offset_steps):
     values, tags, shifts, scales, consts, block, keys = case
     idx = DominanceIndex(values, keys, tags=tags, block_size=block)
     per_row, want = brute_min_max(values, tags, shifts, scales, consts)
@@ -99,14 +99,12 @@ def test_nearest_and_decide_match_brute(case, offset_steps):
     assert got == want
     assert got[0] != 0 or not np.signbit(got[0])  # a zero is +0.0
 
-    # within and decide at the optimum, one ulp below it, and at offsets
-    # above and below it
+    # within at the optimum, one ulp below it, and at offsets above and
+    # below it
     unit = max(1.0, float(np.abs(values).max()))
     for d in (want[0], np.nextafter(want[0], -np.inf), want[0] + offset_steps * 0.25 * unit):
         got = idx.within(shifts, d, scales, consts)
         assert np.array_equal(got, np.unique(tags[per_row <= d]))
-        if consts is None:
-            assert idx.decide(shifts, d, scales=scales) == (want[1] if want[0] <= d else None)
 
 
 def undominated_by_definition(shifts, consts):
@@ -356,6 +354,16 @@ def test_structures_describe_their_index(build, items, rows):
     info = build(items).describe()
     assert (info["rows"], info["blocks"]) == (rows, 1)
     assert info["nbytes"] > 0 and info["block_size"] >= 1
+
+
+@pytest.mark.parametrize("nearest", [
+    SegmentInputIndex(SEGMENT).nearest_to_curve,
+    TranslationSegmentIndex(SEGMENT).nearest_to_curve,
+    KgonStructure(SEGMENT, 0.5).nearest,
+], ids=["SegmentInputIndex", "TranslationSegmentIndex", "KgonStructure"])
+def test_curve_queries_need_two_vertices(nearest):
+    with pytest.raises(ValueError, match="query curve must have at least 2 vertices"):
+        nearest(Curve("q", [[0, 0]]))
 
 
 def test_empty_curve_structures_describe_zero():

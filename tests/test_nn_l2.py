@@ -206,19 +206,9 @@ class TestKgon:
                 sid, dt = KgonStructure(segs, eps).nearest(q)
                 assert dstar <= dt <= (1 + eps) * dstar or (dstar == 0 and dt == 0)
 
-    def test_decide_monotone(self, rng):
-        segs = rand_segments(rng, 8)
-        kg = KgonStructure(segs, 0.5)
-        q = rand_curve(rng, "q", 5)
-        hits = [kg.decide(q, float(d)) is not None for d in range(0, 150, 5)]
-        assert hits == sorted(hits)
-
     def test_validation(self):
         with pytest.raises(ValueError):
             KgonStructure([], 0.5)
-        kg = KgonStructure([Segment("s", [0, 0], [1, 0])], 0.5)
-        with pytest.raises(ValueError):
-            kg.decide(Curve("q", [[0, 0], [1, 0]]), -1.0)
 
 
 class TestLinfBaseline:

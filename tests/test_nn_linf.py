@@ -48,37 +48,6 @@ class TestRectKeyTable:
 
 
 class TestSegmentQueryIndex:
-    def test_decide_examples(self):
-        idx = SegmentQueryIndex([Curve("c", [[0, 1], [10, 1]])])
-        s = Segment("s", [0, 0], [10, 0])
-        assert idx.decide(s, 1.0) == "c"
-        assert idx.decide(s, 0.5) is None
-
-    def test_decide_negative_d_rejected(self):
-        idx = SegmentQueryIndex([Curve("c", [[0, 1], [10, 1]])])
-        with pytest.raises(ValueError):
-            idx.decide(Segment("s", [0, 0], [10, 0]), -0.1)
-
-    def test_decide_matches_brute(self, rng):
-        for _ in range(25):
-            curves = rand_curves(rng, int(rng.integers(1, 12)), 8)
-            idx = SegmentQueryIndex(curves)
-            for _ in range(8):
-                s = rand_segment(rng, "q")
-                d = float(rng.integers(0, 120))
-                brute = min(dfd_segment_curve(s, c, "linf")[0] for c in curves)
-                hit = idx.decide(s, d)
-                assert (hit is not None) == (brute <= d)
-                if hit is not None:
-                    assert dfd_segment_curve(s, next(c for c in curves if c.id == hit), "linf")[0] <= d
-
-    def test_decision_monotonicity(self, rng):
-        curves = rand_curves(rng, 6, 6)
-        idx = SegmentQueryIndex(curves)
-        s = rand_segment(rng, "q")
-        hits = [idx.decide(s, float(d)) is not None for d in range(0, 200, 10)]
-        assert hits == sorted(hits)  # False..False True..True
-
     def test_nearest_examples(self):
         idx = SegmentQueryIndex([
             Curve("C1", [[0, 1], [10, 1]]),
@@ -150,27 +119,6 @@ class TestSegmentInputIndex:
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
             SegmentInputIndex([])
-
-    def test_decide_examples(self):
-        idx = SegmentInputIndex([Segment("s1", [0, 1], [10, 1])])
-        q = Curve("q", [[0, 0], [10, 0]])
-        assert idx.decide(q, 1.0) == "s1"
-        assert idx.decide(q, 0.9) is None
-
-    def test_decide_requires_two_vertices(self):
-        idx = SegmentInputIndex([Segment("s1", [0, 1], [10, 1])])
-        with pytest.raises(ValueError):
-            idx.decide(Curve("q", [[0, 0]]), 1.0)
-
-    def test_decide_matches_brute(self, rng):
-        for _ in range(25):
-            segs = rand_segments(rng, int(rng.integers(1, 20)))
-            idx = SegmentInputIndex(segs)
-            for _ in range(8):
-                q = rand_curve(rng, "q", int(rng.integers(2, 10)))
-                d = float(rng.integers(0, 120))
-                brute = min(dfd_segment_curve(sg, q, "linf")[0] for sg in segs)
-                assert (idx.decide(q, d) is not None) == (brute <= d)
 
     def test_nearest_examples(self):
         idx = SegmentInputIndex([

@@ -107,23 +107,14 @@ class TestTranslationKeyTable:
 class TestTranslationCurveIndex:
     def test_exact_congruence(self):
         idx = TranslationCurveIndex([Curve("c", [[5, 7], [11, 7]])])
-        assert idx.decide(Segment("s", [0, 0], [6, 0]), 0.0) == "c"
         assert idx.nearest(Segment("s", [0, 0], [6, 0])) == ("c", 0.0)
 
     def test_span_mismatch(self):
         # spans 6 vs 8: the suffix square interval forces 2d >= 2
         idx = TranslationCurveIndex([Curve("c", [[0, 0], [8, 0]])])
         s = Segment("s", [0, 0], [6, 0])
-        assert idx.decide(s, 0.4) is None
-        assert idx.decide(s, 0.9) is None
-        assert idx.decide(s, 1.0) == "c"
         assert idx.nearest(s) == ("c", 1.0)
         assert trans_dist_oracle(s, Curve("c", [[0, 0], [8, 0]])) == 1.0
-
-    def test_negative_d_rejected(self):
-        idx = TranslationCurveIndex([Curve("c", [[0, 0], [8, 0]])])
-        with pytest.raises(ValueError):
-            idx.decide(Segment("s", [0, 0], [6, 0]), -1.0)
 
     def test_nearest_prefers_matching_shape(self):
         idx = TranslationCurveIndex([
@@ -132,23 +123,6 @@ class TestTranslationCurveIndex:
         ])
         s = Segment("s", [0, 0], [6, 0])
         assert idx.nearest(s) == ("h", 1.0)
-
-    def test_decide_matches_oracle(self, rng):
-        for _ in range(20):
-            curves = rand_curves(rng, int(rng.integers(1, 10)), 7, hi=40)
-            idx = TranslationCurveIndex(curves)
-            for _ in range(8):
-                s = rand_segment(rng, "q", hi=40)
-                d = float(rng.integers(0, 40))
-                brute = min(trans_dist_oracle(s, c) for c in curves)
-                assert (idx.decide(s, d) is not None) == (brute <= d)
-
-    def test_decision_monotone(self, rng):
-        curves = rand_curves(rng, 5, 6)
-        idx = TranslationCurveIndex(curves)
-        s = rand_segment(rng, "q")
-        hits = [idx.decide(s, float(d)) is not None for d in range(0, 120, 5)]
-        assert hits == sorted(hits)
 
     def test_nearest_matches_oracle(self, rng):
         for _ in range(25):
@@ -204,11 +178,6 @@ class TestTranslationSegmentIndex:
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
             TranslationSegmentIndex([])
-
-    def test_query_needs_two_vertices(self):
-        idx = TranslationSegmentIndex([Segment("s1", [0, 0], [5, 0])])
-        with pytest.raises(ValueError):
-            idx.nearest_to_curve(Curve("q", [[0, 0]]))
 
     def test_nearest_matches_oracle(self, rng):
         for _ in range(25):

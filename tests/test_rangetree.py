@@ -18,10 +18,6 @@ class TestDominanceIndex:
             t = rng.integers(-2, 32, size=5).astype(float)
             mask = brute_mask(values, t)
             # v <= t is the shifted form with shift t at distance 0
-            hit = idx.decide(t, 0.0)
-            assert (hit is not None) == mask.any()
-            if hit is not None:
-                assert mask[hit]
             assert idx.within(t, 0.0).tolist() == np.flatnonzero(mask).tolist()
 
     def test_shifted_queries_match_brute(self, rng):
@@ -33,7 +29,7 @@ class TestDominanceIndex:
             shifts = rng.integers(0, 30, size=4).astype(float)
             d = float(rng.integers(0, 15))
             mask = ((values - shifts) <= scales * d).all(axis=1)
-            assert (idx.decide(shifts, d, scales=scales) is not None) == mask.any()
+            assert idx.within(shifts, d, scales=scales).tolist() == np.flatnonzero(mask).tolist()
             want = brute_min_max(values, tags, shifts, scales)[1]
             assert idx.nearest(shifts, scales=scales) == want
 
@@ -44,10 +40,7 @@ class TestDominanceIndex:
             rows = rng.integers(0, 20, size=(6, 3)).astype(float)
             d = float(rng.integers(0, 8))
             sat = ((values[None, :, :] - rows[:, None, :]) <= d).all(axis=2).any(axis=0)
-            hit = idx.decide(rows, d)
-            assert (hit is not None) == sat.any()
-            if hit is not None:
-                assert sat[hit]
+            assert idx.within(rows, d).tolist() == np.flatnonzero(sat).tolist()
             assert idx.nearest(rows) == brute_min_max(values, np.arange(50), rows)[1]
 
     def test_custom_tags(self, rng):
