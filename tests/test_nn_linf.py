@@ -48,6 +48,14 @@ class TestRectKeyTable:
 
 
 class TestSegmentQueryIndex:
+    def test_decide_examples(self):
+        # the decision "some curve within d" is nearest's distance <= d
+        idx = SegmentQueryIndex([Curve("c", [[0, 1], [10, 1]])])
+        cid, dist = idx.nearest(Segment("s", [0, 0], [10, 0]))
+        assert cid == "c"
+        assert dist <= 1.0
+        assert not dist <= 0.5
+
     def test_nearest_examples(self):
         idx = SegmentQueryIndex([
             Curve("C1", [[0, 1], [10, 1]]),
@@ -119,6 +127,14 @@ class TestSegmentInputIndex:
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
             SegmentInputIndex([])
+
+    def test_decide_examples(self):
+        # the decision "some segment within d" is nearest's distance <= d
+        idx = SegmentInputIndex([Segment("s1", [0, 1], [10, 1])])
+        sid, dist = idx.nearest_to_curve(Curve("q", [[0, 0], [10, 0]]))
+        assert sid == "s1"
+        assert dist <= 1.0
+        assert not dist <= 0.9
 
     def test_nearest_examples(self):
         idx = SegmentInputIndex([
