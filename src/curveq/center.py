@@ -256,10 +256,10 @@ def candidate_radii(curves: Sequence[Curve]) -> np.ndarray:
     two, or three (acute) vertices.  Raises ValueError above
     ``MAX_RADII_VERTICES`` vertices in total.
     """
-    pts = np.vstack([_pts_any(c) for c in curves])
+    if not curves:
+        raise ValueError("candidate_radii requires at least one curve")
+    pts = np.vstack([c.pts for c in curves])
     n = pts.shape[0]
-    if n == 0:
-        raise ValueError("candidate_radii requires at least one vertex")
     if n > MAX_RADII_VERTICES:
         raise ValueError(
             f"L2 center of {n} vertices refused: candidate radii enumerate "
@@ -281,10 +281,6 @@ def candidate_radii(curves: Sequence[Curve]) -> np.ndarray:
                     if cc is not None:
                         vals.append(cc[1])
     return np.unique(np.asarray(vals))
-
-
-def _pts_any(c) -> np.ndarray:
-    return c.pts if isinstance(c, Curve) else np.asarray(c, dtype=float)
 
 
 def center_l2_decision(curves: Sequence[Curve], r: float) -> Optional[tuple[np.ndarray, np.ndarray, dict[str, int]]]:

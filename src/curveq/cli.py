@@ -94,6 +94,8 @@ def _cmd_nn(args, out) -> int:
     direction = args.direction
     if direction == "auto":
         direction = _detect_direction(data, queries)
+    if args.radius is not None and (args.metric != "l2" or direction != "segment-query"):
+        raise _UsageError("--radius applies to --metric l2 segment queries only")
 
     if direction == "segment-query":
         items = [Segment(q.id, q.pts[0], q.pts[-1]) if len(q) == 2 else None for q in queries]

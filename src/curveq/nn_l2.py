@@ -12,10 +12,9 @@
 * :class:`KgonStructure`: curve queries over segments.  Replaces the
   L-infinity squares by regular k-gons with k chosen so that
   1/cos(pi/k) <= 1+eps; the exact k-gon optimum, rescaled by 1/cos(pi/k),
-  sandwiches the true L2 optimum within [d*, (1+eps) d*].  The k-gon
-  optimum is a min-max over per-split shift rows of support values,
-  answered by :meth:`DominanceIndex.nearest` over Morton-ordered
-  endpoint blocks.
+  sandwiches the true L2 optimum within [d*, (1+eps) d*].  It is the
+  support-value index of :class:`~curveq.nn_linf.SegmentInputIndex` on
+  the k-gon's k normals instead of the four axis normals.
 """
 
 from __future__ import annotations
@@ -26,8 +25,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .geometry import Curve, Segment
-from .nn_linf import _morton_keys, _segment_table
-from .rangetree import DominanceIndex
+from .nn_linf import _SupportIndex
 
 __all__ = [
     "ExponentialGrid",
@@ -219,40 +217,20 @@ def kgon_sides(eps: float) -> int:
     return k
 
 
-class KgonStructure:
-    """Segments indexed by their endpoints' k-gon support values.
-
-    The radius-d regular k-gon around p is {x : (x - p) . n_t <= d} for
-    the k outward unit normals n_t; it contains the L2 ball of radius d
-    and fits in the ball of radius d/cos(pi/k).  A curve query reduces to
-    2k one-sided conditions per split on running minima of vertex support
-    values: at split i, endpoint a needs a.n_t <= (prefix min of p.n_t) + d
-    for every orientation t, and b the suffix analogue.
+class KgonStructure(_SupportIndex):
+    """Segments indexed by their endpoints' support values on the k outward
+    unit normals of the regular k-gon: the index of
+    :class:`~curveq.nn_linf.SegmentInputIndex` on k normals instead of
+    four.  The radius-d k-gon around p contains the L2 ball of radius d
+    and fits in the ball of radius d/cos(pi/k).
     """
 
     def __init__(self, segments: Sequence[Segment], eps: float):
-        self.ids_by_rank, ranks, a, b = _segment_table(list(segments), "k-gon structure")
         self.eps = float(eps)
         self.k = kgon_sides(eps)
         ang = 2.0 * math.pi * np.arange(self.k) / self.k
-        self.normals = np.column_stack([np.cos(ang), np.sin(ang)])
-        self._index = DominanceIndex(
-            np.hstack([a @ self.normals.T, b @ self.normals.T]),
-            tags=ranks,
-            sort_keys=_morton_keys(np.hstack([a, b])),
-        )
-
-    def describe(self) -> dict:
-        """Size of the underlying index (see :meth:`DominanceIndex.describe`)."""
-        return self._index.describe()
-
-    def _shift_rows(self, q: Curve) -> np.ndarray:
-        if len(q) < 2:
-            raise ValueError("query curve must have at least 2 vertices")
-        dots = q.pts @ self.normals.T  # (m, k)
-        pre = np.minimum.accumulate(dots, axis=0)[:-1]
-        suf = np.minimum.accumulate(dots[::-1], axis=0)[::-1][1:]
-        return np.hstack([pre, suf])
+        super().__init__(segments, np.column_stack([np.cos(ang), np.sin(ang)]),
+                         "k-gon structure")
 
     def nearest(self, q: Curve) -> tuple[str, float]:
         """Nearest segment with distance estimate d~ in [d*, (1+eps) d*].
@@ -261,5 +239,5 @@ class KgonStructure:
         support-value differences; rescaling by 1/cos(pi/k) turns the
         inner-approximation into the two-sided guarantee.
         """
-        d_kgon, tag = self._index.nearest(self._shift_rows(q))
-        return self.ids_by_rank[tag], d_kgon / math.cos(math.pi / self.k)
+        sid, d_kgon = self._nearest(self._shift_rows(q))
+        return sid, d_kgon / math.cos(math.pi / self.k)

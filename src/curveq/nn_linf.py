@@ -8,8 +8,10 @@ Two directions:
   some key satisfies eight one-sided conditions (prefix box inside the
   square around ``a``, suffix box inside the square around ``b``).
 
-* :class:`SegmentInputIndex` -- indexes segments by their endpoint
-  4-tuples, answers curve queries via per-split rectangle pairs.
+* :class:`SegmentInputIndex` -- indexes segments by their endpoints'
+  support values on the four axis normals, exact signed coordinates (the
+  L-inf square is the axis-aligned 4-gon), answers curve queries;
+  :class:`~curveq.nn_l2.KgonStructure` is the same index on k normals.
 
 In both directions the distance is a minimum over shift rows of a
 maximum over columns of ``value - shift``: one shift row for a segment
@@ -45,6 +47,8 @@ _KEY_FIELDS = (
     "suf_max_x", "suf_min_x", "suf_max_y", "suf_min_y",
 )
 _SIGNS8 = np.array([1.0, -1.0, 1.0, -1.0, 1.0, -1.0, 1.0, -1.0])
+# SegmentInputIndex's normals: the L-inf square is the axis-aligned 4-gon
+_AXES = np.array([[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0], [0.0, -1.0]])
 
 
 def _ranked_ids(ids: Sequence[str]) -> tuple[list[str], np.ndarray]:
@@ -138,7 +142,25 @@ def _morton_keys(values: np.ndarray, bits: int = 8) -> np.ndarray:
     return key
 
 
-class SegmentQueryIndex:
+class _Structure:
+    """The five structures' skeleton: ``ids_by_rank`` (ids in sorted order)
+    and ``_index``, tagged by rank, rows in Morton order of ``points``."""
+
+    def __init__(self, ids_by_rank, values, tags, points, block_size=None):
+        self.ids_by_rank = ids_by_rank
+        self._index = DominanceIndex(values, _morton_keys(points), tags, block_size)
+
+    def describe(self) -> dict:
+        """Size of the underlying index (see :meth:`DominanceIndex.describe`)."""
+        return self._index.describe()
+
+    def _nearest(self, shift_rows, scales=None, row_consts=None) -> tuple[str, float]:
+        """``(id, distance)`` of :meth:`DominanceIndex.nearest`."""
+        best, tag = self._index.nearest(shift_rows, scales, row_consts)
+        return self.ids_by_rank[tag], best
+
+
+class SegmentQueryIndex(_Structure):
     """Curve set indexed for exact nearest-curve segment queries under
     L-inf (:meth:`nearest`) and L2 (:meth:`nearest_l2`)."""
 
@@ -147,20 +169,12 @@ class SegmentQueryIndex:
         if not curves:
             raise ValueError("curve structure requires a non-empty curve list")
         t = rect_key_table(curves)
-        self.ids_by_rank = t.ids_by_rank
         self._curves = sorted(curves, key=lambda c: c.id)  # rank order
-        self._index = DominanceIndex(
-            t.values, tags=t.tags, block_size=64, sort_keys=_morton_keys(t.values)
-        )
-
-    def describe(self) -> dict:
-        """Size of the underlying index (see :meth:`DominanceIndex.describe`)."""
-        return self._index.describe()
+        super().__init__(t.ids_by_rank, t.values, t.tags, t.values, block_size=64)
 
     def nearest(self, s: Segment) -> tuple[str, float]:
         """Closest curve and its exact distance (one shift row)."""
-        best, tag = self._index.nearest(_shift8(s.a, s.b))
-        return self.ids_by_rank[tag], best
+        return self._nearest(_shift8(s.a, s.b))
 
     def nearest_l2(self, s: Segment) -> tuple[str, float]:
         """Closest curve under the L2 metric and its exact distance.
@@ -184,33 +198,39 @@ class SegmentQueryIndex:
         return self.ids_by_rank[rank], best
 
 
-class SegmentInputIndex:
-    """Segment set indexed by endpoint 4-tuples for exact L-inf curve queries."""
+class _SupportIndex(_Structure):
+    """Segments indexed by their endpoints' support values on the unit
+    normals n_t (rows of ``normals``), for curve queries.  The radius-d
+    polygon around p is {x : (x - p) . n_t <= d}, and segment ab lies
+    within d of curve q at split i iff, for every t, a . n_t <= (prefix
+    min of p . n_t) + d and b . n_t <= (suffix min of p . n_t) + d: a row
+    holds (a . n_t, b . n_t) and a split's shift row those running minima.
+    """
 
-    def __init__(self, segments: Sequence[Segment]):
-        self.ids_by_rank, ranks, a, b = _segment_table(list(segments), "segment structure")
-        values = np.column_stack(
-            [a[:, 0], -a[:, 0], a[:, 1], -a[:, 1], b[:, 0], -b[:, 0], b[:, 1], -b[:, 1]]
-        )
-        self._index = DominanceIndex(
-            values, tags=ranks, sort_keys=_morton_keys(np.hstack([a, b]))
-        )
-
-    def describe(self) -> dict:
-        """Size of the underlying index (see :meth:`DominanceIndex.describe`)."""
-        return self._index.describe()
+    def __init__(self, segments: Sequence[Segment], normals: np.ndarray, what: str):
+        ids_by_rank, ranks, a, b = _segment_table(list(segments), what)
+        self.normals = normals
+        super().__init__(ids_by_rank, np.hstack([a @ normals.T, b @ normals.T]), ranks,
+                         np.hstack([a, b]))
 
     def _shift_rows(self, q: Curve) -> np.ndarray:
         if len(q) < 2:
             raise ValueError("query curve must have at least 2 vertices")
-        p = partition_profile(q)
-        return np.column_stack([
-            p.pre_min_x, -p.pre_max_x, p.pre_min_y, -p.pre_max_y,
-            p.suf_min_x, -p.suf_max_x, p.suf_min_y, -p.suf_max_y,
-        ])
+        dots = q.pts @ self.normals.T  # (m, k)
+        pre = np.minimum.accumulate(dots, axis=0)[:-1]
+        suf = np.minimum.accumulate(dots[::-1], axis=0)[::-1][1:]
+        return np.hstack([pre, suf])
+
+
+class SegmentInputIndex(_SupportIndex):
+    """Segment set indexed for exact L-inf curve queries: the L-inf square is
+    the polygon on the four axis normals, so rows are (x, -x, y, -y) of
+    ``a``, then of ``b``."""
+
+    def __init__(self, segments: Sequence[Segment]):
+        super().__init__(segments, _AXES, "segment structure")
 
     def nearest_to_curve(self, q: Curve) -> tuple[str, float]:
         """Closest segment to q and its exact distance; each split of q is
-        one shift row (a rectangle pair) from q's partition profile."""
-        best, tag = self._index.nearest(self._shift_rows(q))
-        return self.ids_by_rank[tag], best
+        one shift row, the running extrema of its prefix and suffix."""
+        return self._nearest(self._shift_rows(q))

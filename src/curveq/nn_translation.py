@@ -32,8 +32,7 @@ from typing import Sequence
 import numpy as np
 
 from .geometry import Curve, Segment, partition_profile, partition_profiles, translation_keys
-from .nn_linf import KeyTable, _curve_tags, _morton_keys, _segment_table
-from .rangetree import DominanceIndex
+from .nn_linf import KeyTable, _Structure, _curve_tags, _segment_table
 
 __all__ = [
     "translation_key_table",
@@ -57,7 +56,7 @@ def _shift5(c: np.ndarray) -> np.ndarray:
     return np.array([0.0, c[0], -c[0], c[1], -c[1]])
 
 
-class TranslationCurveIndex:
+class TranslationCurveIndex(_Structure):
     """Curve set indexed for nearest-curve segment queries under translation."""
 
     def __init__(self, curves: Sequence[Curve]):
@@ -65,34 +64,21 @@ class TranslationCurveIndex:
         if not curves:
             raise ValueError("curve structure requires a non-empty curve list")
         t = translation_key_table(curves)
-        self.ids_by_rank = t.ids_by_rank
-        self._index = DominanceIndex(t.values, tags=t.tags, sort_keys=_morton_keys(t.values))
-
-    def describe(self) -> dict:
-        """Size of the underlying index (see :meth:`DominanceIndex.describe`)."""
-        return self._index.describe()
+        super().__init__(t.ids_by_rank, t.values, t.tags, t.values)
 
     def nearest(self, s: Segment) -> tuple[str, float]:
         """Closest curve under translation, with its exact distance."""
-        best, tag = self._index.nearest(_shift5(s.b - s.a), scales=_SCALES5)
-        return self.ids_by_rank[tag], best
+        return self._nearest(_shift5(s.b - s.a), scales=_SCALES5)
 
 
-class TranslationSegmentIndex:
+class TranslationSegmentIndex(_Structure):
     """Segment set (as difference points) for curve queries under translation."""
 
     def __init__(self, segments: Sequence[Segment]):
-        self.ids_by_rank, ranks, a, b = _segment_table(list(segments), "segment structure")
+        ids_by_rank, ranks, a, b = _segment_table(list(segments), "segment structure")
         c = b - a
-        self._index = DominanceIndex(
-            np.column_stack([-c[:, 0], c[:, 0], -c[:, 1], c[:, 1]]),
-            tags=ranks,
-            sort_keys=_morton_keys(c),
-        )
-
-    def describe(self) -> dict:
-        """Size of the underlying index (see :meth:`DominanceIndex.describe`)."""
-        return self._index.describe()
+        super().__init__(ids_by_rank, np.column_stack([-c[:, 0], c[:, 0], -c[:, 1], c[:, 1]]),
+                         ranks, c)
 
     def nearest_to_curve(self, q: Curve) -> tuple[str, float]:
         """Closest segment to q under translation, with exact distance.
@@ -103,7 +89,4 @@ class TranslationSegmentIndex:
         if len(q) < 2:
             raise ValueError("query curve must have at least 2 vertices")
         r, u1, u2, u3, u4 = translation_keys(partition_profile(q))
-        best, tag = self._index.nearest(
-            np.column_stack([-u2, u1, -u4, u3]), scales=2.0, row_consts=r
-        )
-        return self.ids_by_rank[tag], best
+        return self._nearest(np.column_stack([-u2, u1, -u4, u3]), scales=2.0, row_consts=r)

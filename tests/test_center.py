@@ -124,6 +124,10 @@ class TestCandidateRadii:
             radii = candidate_radii(curves)
             assert np.min(np.abs(radii - opt)) <= 1e-9
 
+    def test_empty_list_is_refused(self):
+        with pytest.raises(ValueError, match="candidate_radii requires at least one curve"):
+            candidate_radii([])
+
     def test_too_many_vertices_refused(self):
         n = MAX_RADII_VERTICES // 2 + 1
         curves = [Curve(c, np.arange(2.0 * n).reshape(n, 2)) for c in "ab"]

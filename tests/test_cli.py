@@ -167,6 +167,17 @@ class TestExitCodes:
         assert rc == 1
         assert ":1:" in err
 
+    @pytest.mark.parametrize("data, queries, extra", [
+        ("curves_small.jsonl", "queries_seg.jsonl", ["--metric", "linf"]),
+        ("segments_small.jsonl", "queries_curves.jsonl", ["--metric", "linf"]),
+        ("segments_small.jsonl", "queries_curves.jsonl", ["--metric", "l2", "--epsilon", "0.5"]),
+    ], ids=["linf-segment-query", "linf-curve-query", "l2-curve-query"])
+    def test_radius_outside_l2_segment_queries_is_usage_error(self, data, queries, extra):
+        rc, out, err = run(["nn", "--data", str(DATA / data), "--queries", str(DATA / queries),
+                            *extra, "--radius", "3"])
+        assert (rc, out) == (2, "")
+        assert err == "usage error: --radius applies to --metric l2 segment queries only\n"
+
     @pytest.mark.parametrize("extra", [[], ["--translation"]])
     def test_empty_dataset_is_data_error(self, tmp_path, extra):
         empty = tmp_path / "empty.jsonl"

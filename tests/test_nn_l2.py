@@ -210,6 +210,15 @@ class TestKgon:
         with pytest.raises(ValueError):
             KgonStructure([], 0.5)
 
+    @pytest.mark.parametrize("eps", [0.0, -1.0, 1.5, math.nan])
+    def test_eps_validation(self, eps):
+        seg = [Segment("s", [0, 0], [1, 1])]
+        with pytest.raises(ValueError, match=r"eps must be in \(0, 1\]"):
+            KgonStructure(seg, eps)
+        # the k-gon's normals come first, so an empty list reports eps too
+        with pytest.raises(ValueError, match=r"eps must be in \(0, 1\]"):
+            KgonStructure([], eps)
+
 
 class TestLinfBaseline:
     def test_linf_structure_is_root2_approx_for_l2(self, rng):
