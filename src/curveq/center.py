@@ -35,6 +35,7 @@ import numpy as np
 
 from .geometry import (
     Curve,
+    _curve_list,
     circle_intersections,
     circumcircle,
     min_enclosing_ball,
@@ -64,10 +65,11 @@ class CenterSolution:
     """A center segment: ball centers a, b of common radius, with witnesses.
 
     ``splits[id]`` is the 1-based split index assigned to each curve;
-    ``translations[id]`` is the vector applied to the curve (zero unless
-    produced by the translation solver).  After applying its translation,
-    every curve's prefix lies in B(a, radius) and suffix in B(b, radius)
-    under the solution's metric.
+    ``translations[id]`` is the vector the translation solver applies to
+    the curve; the fixed-position solvers list none, and
+    :meth:`translation_of` reads zero for an unlisted curve.  After
+    applying its translation, every curve's prefix lies in B(a, radius)
+    and suffix in B(b, radius) under the solution's metric.
     """
 
     metric: str
@@ -81,16 +83,11 @@ class CenterSolution:
         return self.translations.get(cid, np.zeros(2))
 
 
-def _validate(curves: Sequence[Curve]) -> list[Curve]:
-    curves = list(curves)
-    if not curves:
-        raise ValueError("center solvers require at least one curve")
-    for c in curves:
-        if len(c) < 2:
-            raise ValueError(f"curve {c.id!r} has {len(c)} vertex; need m >= 2")
-    if len({c.id for c in curves}) != len(curves):
-        raise ValueError("curve ids must be unique")
-    return curves
+def _flat(curves: Sequence[Curve]):
+    """A checked curve list, its vertex counts and offsets, and all its
+    vertices stacked curve by curve."""
+    curves, sizes = _curve_list(curves)
+    return curves, sizes, np.cumsum(sizes) - sizes, np.vstack([c.pts for c in curves])
 
 
 # ---------------------------------------------------------------------------
@@ -152,10 +149,7 @@ def center_linf(curves: Sequence[Curve]) -> CenterSolution:
     wide there.  Each comparison is a float subtraction sharing one
     operand, so rounding keeps these orders.
     """
-    curves = _validate(curves)
-    sizes = np.array([len(c) for c in curves])
-    offsets = np.concatenate(([0], np.cumsum(sizes)[:-1]))
-    flat = np.vstack([c.pts for c in curves])
+    curves, sizes, offsets, flat = _flat(curves)
     cols = np.ascontiguousarray(flat.T)  # x row, y row: no reductions over axes of length 2
     lo, hi = flat.min(axis=0), flat.max(axis=0)
     corners = [np.array([lo[0], lo[1]]), np.array([hi[0], lo[1]]),
@@ -179,7 +173,6 @@ def center_linf(curves: Sequence[Curve]) -> CenterSolution:
         b=_bbox_center(flat[~in_pre]),
         radius=float(cost),
         splits={c.id: int(s) for c, s in zip(curves, splits)},
-        translations={c.id: np.zeros(2) for c in curves},
     )
 
 
@@ -202,11 +195,8 @@ def center_linf_translation(curves: Sequence[Curve]) -> CenterSolution:
     """Exact (1,2)-Center under translation and L-infinity, O(nm log nm):
     every pairing's bound at every split, each curve's first minimizing
     split, and the pairing whose worst curve is least (ties: lower index)."""
-    curves = _validate(curves)
-    sizes = np.array([len(c) for c in curves])
-    offsets = np.concatenate(([0], np.cumsum(sizes)[:-1]))
+    curves, sizes, offsets, flat = _flat(curves)
     starts = offsets - np.arange(len(curves))  # each curve's first split entry
-    flat = np.vstack([c.pts for c in curves])
     span = np.maximum.reduceat(flat, offsets) - np.minimum.reduceat(flat, offsets)
     dx_star, dy_star = float(span[:, 0].max()), float(span[:, 1].max())
     prof = partition_profiles(curves)
@@ -295,11 +285,8 @@ def center_l2_decision(curves: Sequence[Curve], r: float) -> Optional[tuple[np.n
     """
     if r < 0:
         raise ValueError("radius must be non-negative")
-    curves = _validate(curves)
-    verts = np.vstack([c.pts for c in curves])
+    curves, sizes, offsets, verts = _flat(curves)
     tol = max(_L2_TOL, 16 * float(np.spacing(np.abs(verts).max())))  # a few ulps at large coordinates
-    sizes = [len(c) for c in curves]
-    offsets = np.cumsum([0] + sizes[:-1])
 
     cands = [verts]
     nv = verts.shape[0]
@@ -322,9 +309,7 @@ def center_l2_decision(curves: Sequence[Curve], r: float) -> Optional[tuple[np.n
     feasible_rows = np.nonzero((leads > 0).all(axis=1))[0]
     meb_cache: dict[tuple[int, ...], tuple[np.ndarray, float]] = {}
     for row in feasible_rows:
-        splits = tuple(
-            min(int(leads[row, j]), sizes[j] - 1) for j in range(len(curves))
-        )
+        splits = tuple(np.minimum(leads[row], sizes - 1).tolist())
         hit = meb_cache.get(splits)
         if hit is None:
             suffix = np.vstack([c.pts[s:] for c, s in zip(curves, splits)])
@@ -340,7 +325,7 @@ def center_l2_decision(curves: Sequence[Curve], r: float) -> Optional[tuple[np.n
 
 def center_l2(curves: Sequence[Curve]) -> CenterSolution:
     """Exact (1,2)-Center under L2 via binary search over candidate radii."""
-    curves = _validate(curves)
+    curves, _ = _curve_list(curves)
     radii = candidate_radii(curves)
     lo, hi = 0, len(radii) - 1
     while lo < hi:
@@ -359,5 +344,4 @@ def center_l2(curves: Sequence[Curve]) -> CenterSolution:
         b=b,
         radius=r,
         splits=splits,
-        translations={c.id: np.zeros(2) for c in curves},
     )

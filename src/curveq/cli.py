@@ -85,8 +85,6 @@ def _detect_direction(data: list[Curve], queries: list[Curve]) -> str:
 def _cmd_nn(args, out) -> int:
     if args.metric == "l2" and args.translation:
         raise _UsageError("translation queries are supported for --metric linf only")
-    if args.metric == "l2" and args.epsilon is None:
-        raise _UsageError("--metric l2 requires --epsilon")
     data = load_curves(args.data)
     queries = load_curves(args.queries)
     if not data:
@@ -94,6 +92,9 @@ def _cmd_nn(args, out) -> int:
     direction = args.direction
     if direction == "auto":
         direction = _detect_direction(data, queries)
+    if args.metric == "l2" and args.epsilon is None and (
+            direction == "curve-query" or args.radius is not None):
+        raise _UsageError("--metric l2 requires --epsilon")
     if args.radius is not None and (args.metric != "l2" or direction != "segment-query"):
         raise _UsageError("--radius applies to --metric l2 segment queries only")
 

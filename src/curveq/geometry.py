@@ -106,6 +106,36 @@ class Segment:
         return Segment(self.id, self.a + t, self.b + t)
 
 
+def _item_list(items, noun: str) -> list:
+    """``items`` as a list, refused when it is empty or repeats an id: the
+    list rules of every structure and center solver.  ``noun`` names the
+    items in the messages."""
+    items = list(items)
+    if not items:
+        raise ValueError(f"expected a non-empty {noun} list")
+    if len({x.id for x in items}) != len(items):
+        raise ValueError(f"{noun} ids must be unique")
+    return items
+
+
+def _curve_list(curves) -> tuple[list, np.ndarray]:
+    """A checked curve list (:func:`_item_list`) and its vertex counts,
+    refused when some curve has fewer than 2 vertices."""
+    curves = _item_list(curves, "curve")
+    sizes = np.fromiter(map(len, curves), int, len(curves))
+    if (sizes < 2).any():
+        c = curves[int(np.argmin(sizes))]
+        raise ValueError(f"curve {c.id!r} has {len(c)} vertex; need m >= 2")
+    return curves, sizes
+
+
+def _query_curve(q: Curve) -> Curve:
+    """The query curve of a curve query, refused below 2 vertices."""
+    if len(q) < 2:
+        raise ValueError("query curve must have at least 2 vertices")
+    return q
+
+
 def _pts_of(obj) -> np.ndarray:
     if isinstance(obj, Curve):
         return obj.pts

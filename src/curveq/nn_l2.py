@@ -24,7 +24,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .geometry import Curve, Segment
+from .geometry import Curve, Segment, _curve_list
 from .nn_linf import _SupportIndex
 
 __all__ = [
@@ -61,7 +61,6 @@ class ExponentialGrid:
         self.beta = float(beta)
         self.nlevels = max(1, math.ceil(math.log2(2.0 * beta / alpha)))
 
-        rects: list[np.ndarray] = []
         centers: list[np.ndarray] = []
         self._levels = []  # (half_side, cell_w, ncells, {(row, col): cell index})
         cx, cy = self.center
@@ -70,7 +69,6 @@ class ExponentialGrid:
             lam = min(2.0 ** i * alpha, 2.0 * beta)
             half = lam / 2.0
             if i == 1:
-                rects.append(np.array([cx - half, cy - half, cx + half, cy + half]))
                 centers.append(self.center.copy())
                 self._levels.append((half, 2.0 * half, 1, {(0, 0): 0}))
                 half_prev = half
@@ -91,17 +89,15 @@ class ExponentialGrid:
                         continue
                     if xl - cx > half or cx - xh > half or yl - cy > half or cy - yh > half:
                         continue
-                    lookup[(row, col)] = len(rects)
-                    rects.append(np.array([xl, yl, xh, yh]))
+                    lookup[(row, col)] = len(centers)
                     centers.append(np.array([(xl + xh) / 2.0, (yl + yh) / 2.0]))
             self._levels.append((half, w, ncells, lookup))
             half_prev = half
-        self.rects = np.vstack(rects)
         self.cell_centers = np.vstack(centers)
 
     @property
     def ncells(self) -> int:
-        return self.rects.shape[0]
+        return self.cell_centers.shape[0]
 
     def locate(self, q) -> Optional[int]:
         """Cell index containing q, or None when q is outside every square."""
@@ -142,10 +138,7 @@ class AnnStructure:
             raise ValueError("eps must be in (0, 1]")
         if r <= 0:
             raise ValueError("r must be positive")
-        curves = list(curves)
-        for c in curves:
-            if len(c) < 2:
-                raise ValueError(f"curve {c.id!r} needs m >= 2")
+        curves, sizes = _curve_list(curves)
         self.curves = curves
         self.eps = float(eps)
         self.r = float(r)
@@ -153,7 +146,7 @@ class AnnStructure:
         self.grids_first = [ExponentialGrid(c.pts[0], eps, alpha, r) for c in curves]
         self.grids_last = [ExponentialGrid(c.pts[-1], eps, alpha, r) for c in curves]
         work = (sum(gf.ncells * gl.ncells for gf, gl in zip(self.grids_first, self.grids_last))
-                * sum(len(c) - 1 for c in curves))
+                * int((sizes - 1).sum()))
         if work > MAX_ANN_COMPARISONS:
             raise ValueError(
                 f"AnnStructure build of {work:.3g} comparisons refused: cell pairs "
@@ -229,8 +222,7 @@ class KgonStructure(_SupportIndex):
         self.eps = float(eps)
         self.k = kgon_sides(eps)
         ang = 2.0 * math.pi * np.arange(self.k) / self.k
-        super().__init__(segments, np.column_stack([np.cos(ang), np.sin(ang)]),
-                         "k-gon structure")
+        super().__init__(segments, np.column_stack([np.cos(ang), np.sin(ang)]))
 
     def nearest(self, q: Curve) -> tuple[str, float]:
         """Nearest segment with distance estimate d~ in [d*, (1+eps) d*].

@@ -22,6 +22,13 @@ coordinate, so results agree bit-for-bit with a brute-force scan
 computing the same differences; ties break to the lexicographically
 smallest id.
 
+Every structure here and in :mod:`curveq.nn_translation`, and
+:class:`~curveq.nn_l2.KgonStructure`, checks its list with the shared
+list rules of :mod:`curveq.geometry` (non-empty, unique ids, m >= 2 per
+curve) and hands the items, their rows and Morton points to
+``_Structure``, the one place that ranks ids and tags each row with its
+item's rank.
+
 :meth:`SegmentQueryIndex.nearest_l2` answers exact L2 segment queries
 with the same keys: at every split d_inf <= d_2, so the L-inf winner's L2
 distance U bounds the answer and every curve with an L2 distance at most
@@ -31,15 +38,15 @@ U has a key within U under L-inf.  Those curves are refined with
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
-from .geometry import Curve, Segment, dfd_segment_curve, partition_profile
+from .geometry import (Curve, Segment, _curve_list, _item_list, _query_curve,
+                       dfd_segment_curve, partition_profile)
 from .rangetree import DominanceIndex
 
-__all__ = ["KeyTable", "rect_key_table", "SegmentQueryIndex", "SegmentInputIndex"]
+__all__ = ["rect_key_table", "SegmentQueryIndex", "SegmentInputIndex"]
 
 # Key column order; signs map every condition to "value - shift <= d".
 _KEY_FIELDS = (
@@ -51,60 +58,12 @@ _SIGNS8 = np.array([1.0, -1.0, 1.0, -1.0, 1.0, -1.0, 1.0, -1.0])
 _AXES = np.array([[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0], [0.0, -1.0]])
 
 
-def _ranked_ids(ids: Sequence[str]) -> tuple[list[str], np.ndarray]:
-    """Ids in sorted order, and each input position's rank in it."""
-    if len(set(ids)) != len(ids):
-        raise ValueError("dataset ids must be unique")
-    order = sorted(range(len(ids)), key=ids.__getitem__)
-    ranks = np.empty(len(ids), dtype=int)
-    ranks[order] = np.arange(len(ids))
-    return [ids[k] for k in order], ranks
-
-
-def _segment_table(segments: Sequence[Segment], what: str):
-    """``(ids_by_rank, ranks, a, b)`` of a non-empty segment list, with
-    the endpoints as (n, 2) arrays in input order."""
-    if not segments:
-        raise ValueError(f"{what} requires a non-empty segment list")
-    ids_by_rank, ranks = _ranked_ids([s.id for s in segments])
-    a = np.concatenate([s.a for s in segments]).reshape(-1, 2)
-    b = np.concatenate([s.b for s in segments]).reshape(-1, 2)
-    return ids_by_rank, ranks, a, b
-
-
-@dataclass(frozen=True, eq=False)
-class KeyTable:
-    """Per-(curve, split) key rows for a curve set.
-    ``values`` holds one row per split, curve by curve in input order,
-    sign-adjusted for dominance queries (eight extrema, or translation
-    keys); ``tags[k]`` is row ``k``'s curve rank in id order.
-    """
-
-    values: np.ndarray
-    tags: np.ndarray
-    ids_by_rank: list[str]
-
-
-def _curve_tags(curves: Sequence[Curve]) -> tuple[list[str], np.ndarray]:
-    """Ids in sorted order, and one tag per (curve, split), curve by curve:
-    the curve's rank in that order.  Every curve needs m >= 2."""
-    for c in curves:
-        if len(c) < 2:
-            raise ValueError(
-                f"curve {c.id!r} has {len(c)} vertex; indexed structures require m >= 2"
-            )
-    ids_by_rank, ranks = _ranked_ids([c.id for c in curves])
-    return ids_by_rank, np.repeat(ranks, [len(c) - 1 for c in curves])
-
-
-def rect_key_table(curves: Sequence[Curve]) -> KeyTable:
-    ids_by_rank, tags = _curve_tags(curves)
-    rows = []
-    for c in curves:
-        prof = partition_profile(c)
-        rows.append(np.column_stack([getattr(prof, f) for f in _KEY_FIELDS]))
-    raw = np.vstack(rows) if rows else np.empty((0, 8))
-    return KeyTable(values=raw * _SIGNS8, tags=tags, ids_by_rank=ids_by_rank)
+def rect_key_table(curves: Sequence[Curve]) -> np.ndarray:
+    """The (splits, 8) key rows of :class:`SegmentQueryIndex`: every
+    (curve, split)'s eight extrema, curve by curve, sign-adjusted."""
+    rows = [np.column_stack([getattr(p, f) for f in _KEY_FIELDS])
+            for p in map(partition_profile, curves)]
+    return (np.vstack(rows) if rows else np.empty((0, 8))) * _SIGNS8
 
 
 def _shift8(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -143,12 +102,22 @@ def _morton_keys(values: np.ndarray, bits: int = 8) -> np.ndarray:
 
 
 class _Structure:
-    """The five structures' skeleton: ``ids_by_rank`` (ids in sorted order)
-    and ``_index``, tagged by rank, rows in Morton order of ``points``."""
+    """The five structures' skeleton.  It takes a checked item list, the
+    rows of ``values`` item by item (``splits`` rows per item: one per
+    split of a curve, one per segment) and the rows' Morton ``points``.
+    It ranks the ids (``ids_by_rank``; ``_items[_order[r]]`` is the item
+    of rank r) and indexes the rows in ``_index``, each tagged with its
+    item's rank, in Morton order of ``points``."""
 
-    def __init__(self, ids_by_rank, values, tags, points, block_size=None):
-        self.ids_by_rank = ids_by_rank
-        self._index = DominanceIndex(values, _morton_keys(points), tags, block_size)
+    def __init__(self, items, values, points, splits=1, block_size=None):
+        ids = [x.id for x in items]
+        order = sorted(range(len(ids)), key=ids.__getitem__)
+        ranks = np.empty(len(ids), dtype=int)
+        ranks[order] = np.arange(len(ids))
+        self.ids_by_rank = [ids[k] for k in order]
+        self._items, self._order = items, order
+        self._index = DominanceIndex(values, _morton_keys(points), np.repeat(ranks, splits),
+                                     block_size)
 
     def describe(self) -> dict:
         """Size of the underlying index (see :meth:`DominanceIndex.describe`)."""
@@ -165,12 +134,9 @@ class SegmentQueryIndex(_Structure):
     L-inf (:meth:`nearest`) and L2 (:meth:`nearest_l2`)."""
 
     def __init__(self, curves: Sequence[Curve]):
-        curves = list(curves)
-        if not curves:
-            raise ValueError("curve structure requires a non-empty curve list")
-        t = rect_key_table(curves)
-        self._curves = sorted(curves, key=lambda c: c.id)  # rank order
-        super().__init__(t.ids_by_rank, t.values, t.tags, t.values, block_size=64)
+        curves, sizes = _curve_list(curves)
+        keys = rect_key_table(curves)
+        super().__init__(curves, keys, keys, sizes - 1, block_size=64)
 
     def nearest(self, s: Segment) -> tuple[str, float]:
         """Closest curve and its exact distance (one shift row)."""
@@ -190,12 +156,19 @@ class SegmentQueryIndex(_Structure):
         the smallest id.
         """
         shift = _shift8(s.a, s.b)
+        curves, order = self._items, self._order
         _, tag = self._index.nearest(shift)
-        bound = dfd_segment_curve(s, self._curves[tag], "l2")[0]
+        bound = dfd_segment_curve(s, curves[order[tag]], "l2")[0]
         ranks = self._index.within(shift, bound * (1.0 + 1e-9))
-        best, rank = min((dfd_segment_curve(s, self._curves[k], "l2")[0], k)
+        best, rank = min((dfd_segment_curve(s, curves[order[k]], "l2")[0], k)
                          for k in ranks.tolist())
         return self.ids_by_rank[rank], best
+
+
+def _endpoints(segments: list[Segment]) -> tuple[np.ndarray, np.ndarray]:
+    """The segments' ``a`` and ``b`` endpoints as (n, 2) arrays."""
+    return (np.concatenate([s.a for s in segments]).reshape(-1, 2),
+            np.concatenate([s.b for s in segments]).reshape(-1, 2))
 
 
 class _SupportIndex(_Structure):
@@ -207,16 +180,14 @@ class _SupportIndex(_Structure):
     holds (a . n_t, b . n_t) and a split's shift row those running minima.
     """
 
-    def __init__(self, segments: Sequence[Segment], normals: np.ndarray, what: str):
-        ids_by_rank, ranks, a, b = _segment_table(list(segments), what)
+    def __init__(self, segments: Sequence[Segment], normals: np.ndarray):
+        segments = _item_list(segments, "segment")
+        a, b = _endpoints(segments)
         self.normals = normals
-        super().__init__(ids_by_rank, np.hstack([a @ normals.T, b @ normals.T]), ranks,
-                         np.hstack([a, b]))
+        super().__init__(segments, np.hstack([a @ normals.T, b @ normals.T]), np.hstack([a, b]))
 
     def _shift_rows(self, q: Curve) -> np.ndarray:
-        if len(q) < 2:
-            raise ValueError("query curve must have at least 2 vertices")
-        dots = q.pts @ self.normals.T  # (m, k)
+        dots = _query_curve(q).pts @ self.normals.T  # (m, k)
         pre = np.minimum.accumulate(dots, axis=0)[:-1]
         suf = np.minimum.accumulate(dots[::-1], axis=0)[::-1][1:]
         return np.hstack([pre, suf])
@@ -228,7 +199,7 @@ class SegmentInputIndex(_SupportIndex):
     ``a``, then of ``b``."""
 
     def __init__(self, segments: Sequence[Segment]):
-        super().__init__(segments, _AXES, "segment structure")
+        super().__init__(segments, _AXES)
 
     def nearest_to_curve(self, q: Curve) -> tuple[str, float]:
         """Closest segment to q and its exact distance; each split of q is

@@ -20,7 +20,9 @@ the formula of :func:`curveq.oracles.translation_distance_brute`.
   row (-c.x, c.x, -c.y, c.y) per segment, one shift row
   (-u2, u1, -u4, u3) per query split with scale 2 and row constant r.
 
-Both run :meth:`DominanceIndex.nearest`.  All optima are exact coordinate
+Both build on ``nn_linf._Structure``, which ranks the ids and tags the
+rows, and run :meth:`DominanceIndex.nearest`; :func:`translation_key_table`
+returns the (splits, 5) rows alone.  All optima are exact coordinate
 differences halved, so results match the oracle bit-for-bit; ties break
 to the smallest id.
 """
@@ -31,8 +33,9 @@ from typing import Sequence
 
 import numpy as np
 
-from .geometry import Curve, Segment, partition_profile, partition_profiles, translation_keys
-from .nn_linf import KeyTable, _Structure, _curve_tags, _segment_table
+from .geometry import (Curve, Segment, _curve_list, _item_list, _query_curve, partition_profile,
+                       partition_profiles, translation_keys)
+from .nn_linf import _Structure, _endpoints
 
 __all__ = [
     "translation_key_table",
@@ -43,13 +46,10 @@ __all__ = [
 _SCALES5 = np.array([1.0, 2.0, 2.0, 2.0, 2.0])
 
 
-def translation_key_table(curves: Sequence[Curve]) -> KeyTable:
+def translation_key_table(curves: Sequence[Curve]) -> np.ndarray:
     """Rows (r, u2, -u1, u4, -u3) for every (curve, split), curve by curve."""
-    ids_by_rank, tags = _curve_tags(curves)
     r, u1, u2, u3, u4 = translation_keys(partition_profiles(curves))
-    return KeyTable(
-        values=np.column_stack([r, u2, -u1, u4, -u3]), tags=tags, ids_by_rank=ids_by_rank
-    )
+    return np.column_stack([r, u2, -u1, u4, -u3])
 
 
 def _shift5(c: np.ndarray) -> np.ndarray:
@@ -60,11 +60,9 @@ class TranslationCurveIndex(_Structure):
     """Curve set indexed for nearest-curve segment queries under translation."""
 
     def __init__(self, curves: Sequence[Curve]):
-        curves = list(curves)
-        if not curves:
-            raise ValueError("curve structure requires a non-empty curve list")
-        t = translation_key_table(curves)
-        super().__init__(t.ids_by_rank, t.values, t.tags, t.values)
+        curves, sizes = _curve_list(curves)
+        keys = translation_key_table(curves)
+        super().__init__(curves, keys, keys, sizes - 1)
 
     def nearest(self, s: Segment) -> tuple[str, float]:
         """Closest curve under translation, with its exact distance."""
@@ -75,10 +73,10 @@ class TranslationSegmentIndex(_Structure):
     """Segment set (as difference points) for curve queries under translation."""
 
     def __init__(self, segments: Sequence[Segment]):
-        ids_by_rank, ranks, a, b = _segment_table(list(segments), "segment structure")
+        segments = _item_list(segments, "segment")
+        a, b = _endpoints(segments)
         c = b - a
-        super().__init__(ids_by_rank, np.column_stack([-c[:, 0], c[:, 0], -c[:, 1], c[:, 1]]),
-                         ranks, c)
+        super().__init__(segments, np.column_stack([-c[:, 0], c[:, 0], -c[:, 1], c[:, 1]]), c)
 
     def nearest_to_curve(self, q: Curve) -> tuple[str, float]:
         """Closest segment to q under translation, with exact distance.
@@ -86,7 +84,5 @@ class TranslationSegmentIndex(_Structure):
         One shift row (-u2, u1, -u4, u3) per split of q, scale 2, and the
         split's radius r as row constant.
         """
-        if len(q) < 2:
-            raise ValueError("query curve must have at least 2 vertices")
-        r, u1, u2, u3, u4 = translation_keys(partition_profile(q))
+        r, u1, u2, u3, u4 = translation_keys(partition_profile(_query_curve(q)))
         return self._nearest(np.column_stack([-u2, u1, -u4, u3]), scales=2.0, row_consts=r)

@@ -152,6 +152,24 @@ class TestExitCodes:
         assert rc == 2
         assert "epsilon" in err
 
+    def test_l2_segment_queries_need_no_epsilon(self):
+        # exact L2 segment queries never read --epsilon, so it may be left out
+        argv = ["nn", "--data", str(DATA / "curves_small.jsonl"),
+                "--queries", str(DATA / "queries_seg.jsonl"), "--metric", "l2"]
+        rc, out, err = run(argv)
+        assert (rc, err) == (0, "")
+        rc, with_eps, _ = run(argv + ["--epsilon", "0.5"])
+        assert rc == 0
+        assert out == with_eps.replace('"epsilon": 0.5', '"epsilon": null')
+        assert out.count('"epsilon": null') == len(out.splitlines()) > 0
+
+    def test_l2_radius_without_epsilon_is_usage_error(self):
+        rc, out, err = run(["nn", "--data", str(DATA / "curves_small.jsonl"),
+                            "--queries", str(DATA / "queries_seg.jsonl"),
+                            "--metric", "l2", "--radius", "3"])
+        assert (rc, out) == (2, "")
+        assert "epsilon" in err
+
     def test_l2_translation_is_usage_error(self):
         rc, _, _ = run(["nn", "--data", str(DATA / "segments_small.jsonl"),
                         "--queries", str(DATA / "queries_curves.jsonl"),

@@ -5,7 +5,8 @@ center solvers and the flat partition profile.
 over every (shift row, row) pair; each structure's ``nearest`` with
 ``curveq.oracles.nn_brute``, each center solver with
 ``curveq.oracles.center_brute`` and ``partition_profiles`` with the
-per-curve ``partition_profile`` on degenerate curves.
+per-curve ``partition_profile`` on degenerate curves.  Every structure
+and center solver refuses the same curve and segment lists.
 """
 
 import numpy as np
@@ -14,6 +15,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from curveq import (
+    AnnStructure,
     Curve,
     KgonStructure,
     Segment,
@@ -372,3 +374,31 @@ def test_empty_curve_structures_describe_zero():
     for build in (SegmentQueryIndex, TranslationCurveIndex):
         with pytest.raises(ValueError, match="non-empty curve list"):
             build([])
+
+
+def _segment(sid, pts):
+    return Segment(sid, *pts)
+
+
+@pytest.mark.parametrize("build, make", [
+    (SegmentQueryIndex, Curve),
+    (TranslationCurveIndex, Curve),
+    (SegmentInputIndex, _segment),
+    (TranslationSegmentIndex, _segment),
+    (lambda segs: KgonStructure(segs, 0.5), _segment),
+    (lambda curves: AnnStructure(curves, 0.5, 1.0), Curve),
+    (center_linf, Curve),
+    (center_linf_translation, Curve),
+    (center_l2, Curve),
+], ids=["SegmentQueryIndex", "TranslationCurveIndex", "SegmentInputIndex",
+        "TranslationSegmentIndex", "KgonStructure", "AnnStructure", "center_linf",
+        "center_linf_translation", "center_l2"])
+def test_list_intake(build, make):
+    noun = "curve" if make is Curve else "segment"
+    with pytest.raises(ValueError, match=f"non-empty {noun} list"):
+        build([])
+    with pytest.raises(ValueError, match=f"{noun} ids must be unique"):
+        build([make("x", [[0, 0], [1, 1]]), make("x", [[2, 2], [3, 3]])])
+    if make is Curve:
+        with pytest.raises(ValueError, match="curve 'tiny' has 1 vertex"):
+            build([Curve("ok", [[0, 0], [1, 1]]), Curve("tiny", [[0, 0]])])

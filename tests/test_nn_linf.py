@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 
 from curveq import (
@@ -32,22 +33,29 @@ def brute_nearest_segment(segments, q):
 
 class TestRectKeyTable:
     def test_counts(self, rng):
-        assert rect_key_table([Curve("a", [[0, 0], [1, 1]])]).values.shape[0] == 1
+        assert rect_key_table([Curve("a", [[0, 0], [1, 1]])]).shape == (1, 8)
         curves = rand_curves(rng, 7, 9)
-        t = rect_key_table(curves)
-        assert t.values.shape[0] == sum(len(c) - 1 for c in curves)
+        assert rect_key_table(curves).shape == (sum(len(c) - 1 for c in curves), 8)
 
+
+class TestSegmentQueryIndex:
     def test_build_error_names_curve(self):
         with pytest.raises(ValueError, match="tiny"):
-            rect_key_table([Curve("ok", [[0, 0], [1, 1]]), Curve("tiny", [[0, 0]])])
+            SegmentQueryIndex([Curve("ok", [[0, 0], [1, 1]]), Curve("tiny", [[0, 0]])])
 
     def test_duplicate_ids_rejected(self):
         cs = [Curve("x", [[0, 0], [1, 1]]), Curve("x", [[2, 2], [3, 3]])]
         with pytest.raises(ValueError, match="unique"):
-            rect_key_table(cs)
+            SegmentQueryIndex(cs)
 
+    def test_rows_are_tagged_by_id_rank(self, rng):
+        # ids that sort unlike insertion order: each curve's splits carry its rank
+        curves = [Curve(f"c{9 - k}", c.pts) for k, c in enumerate(rand_curves(rng, 6, 9))]
+        idx = SegmentQueryIndex(curves)
+        assert idx.ids_by_rank == sorted(c.id for c in curves)
+        splits = {c.id: len(c) - 1 for c in curves}
+        assert np.bincount(idx._index.tags).tolist() == [splits[i] for i in idx.ids_by_rank]
 
-class TestSegmentQueryIndex:
     def test_decide_examples(self):
         # the decision "some curve within d" is nearest's distance <= d
         idx = SegmentQueryIndex([Curve("c", [[0, 1], [10, 1]])])

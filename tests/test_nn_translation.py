@@ -66,20 +66,19 @@ def brute_nearest(curves, s):
 
 class TestTranslationKeyTable:
     def test_counting(self, rng):
-        t = translation_key_table([Curve("a", [[0, 0], [3, 4]])])
-        assert t.values.shape == (1, 5)
+        assert translation_key_table([Curve("a", [[0, 0], [3, 4]])]).shape == (1, 5)
         curves = rand_curves(rng, 5, 7)
-        t = translation_key_table(curves)
         nsplits = sum(len(c) - 1 for c in curves)
-        assert t.values.shape[0] == t.tags.shape[0] == nsplits
+        assert translation_key_table(curves).shape[0] == nsplits
+        assert TranslationCurveIndex(curves)._index.tags.shape[0] == nsplits
         assert all(k.shape == (nsplits,) for k in translation_keys(partition_profiles(curves)))
-        assert translation_key_table([]).values.shape == (0, 5)
+        assert translation_key_table([]).shape == (0, 5)
 
     def test_values_match_direct_recompute(self, rng):
         for _ in range(20):
             curves = rand_curves(rng, int(rng.integers(1, 5)), 9)
             r, u1, u2, u3, u4 = translation_keys(partition_profiles(curves))
-            values = translation_key_table(curves).values
+            values = translation_key_table(curves)
             k = 0
             for c in curves:
                 for i in range(1, len(c)):
@@ -99,12 +98,12 @@ class TestTranslationKeyTable:
                     k += 1
             assert k == values.shape[0]
 
-    def test_small_curve_rejected(self):
-        with pytest.raises(ValueError, match="stub"):
-            translation_key_table([Curve("stub", [[1, 1]])])
-
 
 class TestTranslationCurveIndex:
+    def test_small_curve_rejected(self):
+        with pytest.raises(ValueError, match="stub"):
+            TranslationCurveIndex([Curve("stub", [[1, 1]])])
+
     def test_exact_congruence(self):
         idx = TranslationCurveIndex([Curve("c", [[5, 7], [11, 7]])])
         assert idx.nearest(Segment("s", [0, 0], [6, 0])) == ("c", 0.0)
