@@ -92,7 +92,7 @@ def _cmd_nn(args, out) -> int:
     direction = args.direction
     if direction == "auto":
         direction = _detect_direction(data, queries)
-    if args.metric == "l2" and args.epsilon is None and (
+    if args.metric == "l2" and args.epsilon is None and not args.brute and (
             direction == "curve-query" or args.radius is not None):
         raise _UsageError("--metric l2 requires --epsilon")
     if args.radius is not None and (args.metric != "l2" or direction != "segment-query"):
@@ -120,32 +120,22 @@ def _cmd_nn(args, out) -> int:
 
 def _segment_query_answerer(args, data: list[Curve]):
     if args.brute:
-        return lambda s: oracles.nn_brute(
-            data, s, metric=args.metric, translation=args.translation
-        )
+        return lambda s: oracles.nn_brute(data, s, args.metric, args.translation)
     if args.metric == "linf":
         index = TranslationCurveIndex(data) if args.translation else SegmentQueryIndex(data)
         return index.nearest
     if args.radius is None:
         return SegmentQueryIndex(data).nearest_l2
     ann = AnnStructure(data, args.epsilon, args.radius)
-
-    def answer(s: Segment):
-        hit = ann.query(s)
-        return (None, None) if hit is None else hit
-
-    return answer
+    return lambda s: ann.query(s) or (None, None)  # None: no curve within the radius
 
 
 def _curve_query_answerer(args, segs: list[Segment]):
     if args.brute:
-        return lambda q: oracles.nn_brute(
-            segs, q, metric=args.metric, translation=args.translation
-        )
+        return lambda q: oracles.nn_brute(segs, q, args.metric, args.translation)
     if args.metric == "linf":
-        if args.translation:
-            return TranslationSegmentIndex(segs).nearest_to_curve
-        return SegmentInputIndex(segs).nearest_to_curve
+        index = TranslationSegmentIndex if args.translation else SegmentInputIndex
+        return index(segs).nearest_to_curve
     return KgonStructure(segs, args.epsilon).nearest
 
 

@@ -19,6 +19,7 @@
 
 from __future__ import annotations
 
+import bisect
 import math
 from typing import Optional, Sequence
 
@@ -27,16 +28,49 @@ import numpy as np
 from .geometry import Curve, Segment, _curve_list
 from .nn_linf import _SupportIndex
 
-__all__ = [
-    "ExponentialGrid",
-    "AnnStructure",
-    "kgon_sides",
-    "KgonStructure",
-]
+__all__ = ["ExponentialGrid", "AnnStructure", "kgon_sides", "KgonStructure"]
 
 # AnnStructure's annotation compares every same-curve cell pair with every
 # split of every curve; builds above this many comparisons are refused
 MAX_ANN_COMPARISONS = 10**8
+
+
+def _first(n: int, pred) -> int:
+    """First k in [0, n) with pred(k), for pred monotone from False to True."""
+    return bisect.bisect_left(range(n), True, key=pred)
+
+
+def _grid_levels(center, eps: float, alpha: float, beta: float) -> list:
+    """The levels of :class:`ExponentialGrid`: (half side, cell width, n
+    cells per side, per axis (x, y) the cells [a0, a1) meeting this square
+    and [b0, b1) inside the previous one, cell count).  Cell k spans x0 +
+    k*w to x0 + (k+1)*w, monotone in k, so each range end is a binary
+    search over the float steps of a scan; a cell is kept unless in b on
+    both axes."""
+    if not 0 < eps <= 1:
+        raise ValueError("eps must be in (0, 1]")
+    if not math.isfinite(2.0 * beta):
+        raise ValueError(f"beta must be finite with 2*beta finite, got {beta}")
+    if not 0 < alpha <= beta:
+        raise ValueError("need 0 < alpha <= beta")
+    levels, half_prev = [], 0.0
+    for i in range(1, max(1, math.ceil(math.log2(2.0 * beta / alpha))) + 1):
+        lam = min(2.0 ** i * alpha, 2.0 * beta)
+        half = lam / 2.0
+        w = 2.0 * half if i == 1 else eps * lam / (2.0 * math.sqrt(2.0))
+        n = 1 if i == 1 else math.ceil(lam / w)  # level 1 is one cell
+        axes = []
+        for c in center:
+            x0 = c - half
+            a0 = _first(n, lambda k: c - (x0 + (k + 1) * w) <= half)
+            a1 = _first(n, lambda k: (x0 + k * w) - c > half)
+            b0 = max(a0, _first(n, lambda k: (x0 + k * w) - c > -half_prev))
+            axes.append((a0, a1, b0, max(b0, min(a1, _first(
+                n, lambda k: (x0 + (k + 1) * w) - c >= half_prev)))))
+        (ax0, ax1, bx0, bx1), (ay0, ay1, by0, by1) = axes
+        levels.append((half, w, n, axes, (ax1 - ax0) * (ay1 - ay0) - (bx1 - bx0) * (by1 - by0)))
+        half_prev = half
+    return levels
 
 
 class ExponentialGrid:
@@ -51,48 +85,22 @@ class ExponentialGrid:
     """
 
     def __init__(self, center, eps: float, alpha: float, beta: float):
-        if not 0 < eps <= 1:
-            raise ValueError("eps must be in (0, 1]")
-        if not 0 < alpha <= beta:
-            raise ValueError("need 0 < alpha <= beta")
         self.center = np.asarray(center, dtype=float).reshape(2)
-        self.eps = float(eps)
-        self.alpha = float(alpha)
-        self.beta = float(beta)
-        self.nlevels = max(1, math.ceil(math.log2(2.0 * beta / alpha)))
-
-        centers: list[np.ndarray] = []
-        self._levels = []  # (half_side, cell_w, ncells, {(row, col): cell index})
-        cx, cy = self.center
-        half_prev = 0.0
-        for i in range(1, self.nlevels + 1):
-            lam = min(2.0 ** i * alpha, 2.0 * beta)
-            half = lam / 2.0
-            if i == 1:
-                centers.append(self.center.copy())
-                self._levels.append((half, 2.0 * half, 1, {(0, 0): 0}))
-                half_prev = half
-                continue
-            w = eps * lam / (2.0 * math.sqrt(2.0))
-            ncells = math.ceil(lam / w)
-            lookup = {}
-            x0 = cx - half
-            y0 = cy - half
-            for row in range(ncells):
-                yl, yh = y0 + row * w, y0 + (row + 1) * w
-                for col in range(ncells):
-                    xl, xh = x0 + col * w, x0 + (col + 1) * w
-                    # skip cells buried inside the previous square or
-                    # entirely outside this one
-                    if (max(abs(xl - cx), abs(xh - cx)) < half_prev
-                            and max(abs(yl - cy), abs(yh - cy)) < half_prev):
-                        continue
-                    if xl - cx > half or cx - xh > half or yl - cy > half or cy - yh > half:
-                        continue
-                    lookup[(row, col)] = len(centers)
-                    centers.append(np.array([(xl + xh) / 2.0, (yl + yh) / 2.0]))
-            self._levels.append((half, w, ncells, lookup))
-            half_prev = half
+        levels = _grid_levels(self.center, eps, alpha, beta)
+        self.eps, self.alpha, self.beta = float(eps), float(alpha), float(beta)
+        self.nlevels = len(levels)
+        centers, self._levels = [], []  # levels: (half_side, cell_w, ncells, {(row, col): cell})
+        for half, w, n, ((ax0, ax1, bx0, bx1), (ay0, ay1, by0, by1)), _ in levels:
+            keep = np.ones((ay1 - ay0, ax1 - ax0), dtype=bool)
+            keep[by0 - ay0:by1 - ay0, bx0 - ax0:bx1 - ax0] = False
+            rows, cols = np.nonzero(keep)
+            rows, cols = rows + ay0, cols + ax0
+            x0, ks = self.center - half, np.column_stack([cols, rows])  # (col, row): (x, y)
+            mids = ((x0 + ks * w) + (x0 + (ks + 1) * w)) / 2.0 if n > 1 else self.center[None, :]
+            start = sum(map(len, centers))
+            cells = dict(zip(zip(rows.tolist(), cols.tolist()), range(start, start + len(rows))))
+            self._levels.append((half, w, n, cells))
+            centers.append(mids)
         self.cell_centers = np.vstack(centers)
 
     @property
@@ -130,7 +138,8 @@ class AnnStructure:
     Build cost is dominated by annotating every same-curve cell pair with
     its nearest input curve (distance computed exactly per pair), i.e.
     O(n^2 K^2 m) point distances for K cells per grid.  Raises
-    ValueError when that count exceeds ``MAX_ANN_COMPARISONS``.
+    ValueError when that count exceeds ``MAX_ANN_COMPARISONS``, before
+    any grid is built.
     """
 
     def __init__(self, curves: Sequence[Curve], eps: float, r: float):
@@ -138,20 +147,24 @@ class AnnStructure:
             raise ValueError("eps must be in (0, 1]")
         if r <= 0:
             raise ValueError("r must be positive")
+        if not math.isfinite(2.0 * r):  # also bounds the (1 + eps) * r answers
+            raise ValueError(f"r must be finite with 2r finite, got {r}")
         curves, sizes = _curve_list(curves)
         self.curves = curves
         self.eps = float(eps)
         self.r = float(r)
         alpha = eps * r / (2.0 * math.sqrt(2.0))
-        self.grids_first = [ExponentialGrid(c.pts[0], eps, alpha, r) for c in curves]
-        self.grids_last = [ExponentialGrid(c.pts[-1], eps, alpha, r) for c in curves]
-        work = (sum(gf.ncells * gl.ncells for gf, gl in zip(self.grids_first, self.grids_last))
-                * int((sizes - 1).sum()))
+        # cells of every curve's first and last grid, counted without building them
+        cells = [sum(level[-1] for level in _grid_levels(p, eps, alpha, r))
+                 for c in curves for p in (c.pts[0], c.pts[-1])]
+        work = sum(f * g for f, g in zip(cells[::2], cells[1::2])) * int((sizes - 1).sum())
         if work > MAX_ANN_COMPARISONS:
             raise ValueError(
                 f"AnnStructure build of {work:.3g} comparisons refused: cell pairs "
                 f"times curve splits, limit {MAX_ANN_COMPARISONS:.0e}"
             )
+        self.grids_first = [ExponentialGrid(c.pts[0], eps, alpha, r) for c in curves]
+        self.grids_last = [ExponentialGrid(c.pts[-1], eps, alpha, r) for c in curves]
 
         # pair annotations: nearest curve over the whole set per (g, h)
         self.pair_dist: list[np.ndarray] = []
@@ -160,11 +173,8 @@ class AnnStructure:
             best_d = np.full((gf.ncells, gl.ncells), np.inf)
             best_c = np.zeros((gf.ncells, gl.ncells), dtype=int)
             for ci, c in enumerate(curves):
-                pre, suf = _prefix_suffix_maxima(
-                    np.vstack([gf.cell_centers, gl.cell_centers]), c.pts
-                )
-                pre_g = pre[: gf.ncells]
-                suf_h = suf[gf.ncells:]
+                pre_g = _prefix_suffix_maxima(gf.cell_centers, c.pts)[0]
+                suf_h = _prefix_suffix_maxima(gl.cell_centers, c.pts)[1]
                 d = np.maximum.outer(pre_g[:, 0], suf_h[:, 0])
                 for j in range(1, pre_g.shape[1]):
                     np.minimum(d, np.maximum.outer(pre_g[:, j], suf_h[:, j]), out=d)

@@ -104,12 +104,12 @@ def _morton_keys(values: np.ndarray, bits: int = 8) -> np.ndarray:
 class _Structure:
     """The five structures' skeleton.  It takes a checked item list, the
     rows of ``values`` item by item (``splits`` rows per item: one per
-    split of a curve, one per segment) and the rows' Morton ``points``.
-    It ranks the ids (``ids_by_rank``; ``_items[_order[r]]`` is the item
-    of rank r) and indexes the rows in ``_index``, each tagged with its
-    item's rank, in Morton order of ``points``."""
+    split of a curve, one per segment), their Morton ``points`` and column
+    ``scales``.  It ranks the ids (``ids_by_rank``; ``_items[_order[r]]``
+    is the item of rank r) and indexes the rows in ``_index``, each tagged
+    with its item's rank, in Morton order of ``points``."""
 
-    def __init__(self, items, values, points, splits=1, block_size=None):
+    def __init__(self, items, values, points, splits=1, block_size=None, scales=None):
         ids = [x.id for x in items]
         order = sorted(range(len(ids)), key=ids.__getitem__)
         ranks = np.empty(len(ids), dtype=int)
@@ -117,15 +117,15 @@ class _Structure:
         self.ids_by_rank = [ids[k] for k in order]
         self._items, self._order = items, order
         self._index = DominanceIndex(values, _morton_keys(points), np.repeat(ranks, splits),
-                                     block_size)
+                                     block_size, scales)
 
     def describe(self) -> dict:
         """Size of the underlying index (see :meth:`DominanceIndex.describe`)."""
         return self._index.describe()
 
-    def _nearest(self, shift_rows, scales=None, row_consts=None) -> tuple[str, float]:
+    def _nearest(self, shift_rows) -> tuple[str, float]:
         """``(id, distance)`` of :meth:`DominanceIndex.nearest`."""
-        best, tag = self._index.nearest(shift_rows, scales, row_consts)
+        best, tag = self._index.nearest(shift_rows)
         return self.ids_by_rank[tag], best
 
 

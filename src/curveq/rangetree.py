@@ -12,10 +12,10 @@ search stops once no unvisited block can beat the best distance found
 1999); :meth:`DominanceIndex.within` scans the blocks whose bound is at
 most a given distance.  Bounds are exact because ``x -> (x - s) /
 scale`` rounds monotonically; for the same reason a shift row that
-another row dominates (no larger in any column, constant no smaller) is
-never closer to any stored row, and a query with at most four shift rows
-per block drops it first (the skyline of Börzsönyi, Kossmann & Stocker,
-ICDE 2001, on the query side).  Values are stored column-major, one
+another row dominates (no larger in any column) is never closer to any
+stored row, and a query with at most four shift rows per block drops it
+first (the skyline of Börzsönyi, Kossmann & Stocker, ICDE 2001, on the
+query side).  Values are stored column-major, one
 contiguous row per dimension (the column-store layout of Boncz, Zukowski
 & Nes, CIDR 2005), so the max over the D columns reduces over the leading
 axis: NumPy takes elementwise maxima of long contiguous rows instead of
@@ -37,29 +37,28 @@ __all__ = ["DominanceIndex"]
 _SKYLINE_ROWS_PER_BLOCK = 4
 
 
-def _undominated(st, consts=None) -> np.ndarray:
+def _undominated(st) -> np.ndarray:
     """Mask of the shift rows (columns of the (D, R) array ``st``) that no
-    other row dominates.  Row j dominates row i when ``st[:, i] <= st[:, j]``
-    and ``consts[i] >= consts[j]``; of equal rows the first is kept."""
-    a = st if consts is None else np.vstack([st, -consts])
-    le = np.logical_and.reduce(a[:, :, None] <= a[:, None, :], axis=0)  # le[i, j]: j dominates i
+    other row dominates.  Row j dominates row i when ``st[:, i] <= st[:, j]``;
+    of equal rows the first is kept."""
+    le = np.logical_and.reduce(st[:, :, None] <= st[:, None, :], axis=0)  # le[i, j]: j dominates i
     return ~(le & ~np.triu(le.T)).any(axis=1)  # j does not drop an equal i < j
 
 
 class DominanceIndex:
     """Exact min-max queries over N rows of D-dimensional values v.
 
-    A query supplies R shift rows s_r, optional per-column scales and
-    optional per-row constants c_r.  The distance of stored row v under
-    shift row r is
+    The per-column scales are fixed at build; a query supplies R shift
+    rows s_r.  The distance of stored row v under shift row r is
 
-        max(c_r, max_k (v[k] - s_r[k]) / scale[k])
+        max_k (v[k] - s_r[k]) / scale[k]
 
     :meth:`nearest` minimizes it over all (r, v) pairs and :meth:`within`
     collects the rows where it is at most a given d.  Every difference is
-    evaluated exactly as written, which keeps results bit-identical to
-    brute-force scans computing the same differences.  Scales must be
-    powers of two (1 or 2 here) so the quotients are exact.
+    evaluated exactly as written, subtracted then divided column by
+    column, which keeps results bit-identical to brute-force scans
+    computing the same differences.  Scales must be powers of two (1 or 2
+    here) so the quotients are exact.
 
     The sorted values are held once, as the C-contiguous (D, N) array
     ``cols``; block minima are (D, blocks).  Distances are (D, R, rows)
@@ -67,8 +66,10 @@ class DominanceIndex:
     as a row-major scan, so the layout does not change any answer.
     """
 
-    def __init__(self, values, sort_keys, tags=None, block_size: Optional[int] = None):
-        """``sort_keys`` sets the row order.
+    def __init__(self, values, sort_keys, tags=None, block_size: Optional[int] = None,
+                 scales=None):
+        """``sort_keys`` sets the row order; ``scales`` holds the D column
+        scales (default: all 1).
 
         A space-filling-curve key makes the per-block minima jointly
         selective across all dimensions.
@@ -87,9 +88,11 @@ class DominanceIndex:
         self._bmins = np.minimum.reduceat(self.cols, self._starts, axis=1)
         self._n = n
         self._b = b
+        # (D, 1, 1): each column's differences are divided after subtracting
+        self._scale = None if scales is None else np.asarray(scales, dtype=float).reshape(-1, 1, 1)
 
     def describe(self) -> dict:
-        """Rows, dims, blocks, block size and bytes held in arrays."""
+        """Rows, dims, blocks, block size and bytes of the row, tag and block arrays."""
         arrays = (self.cols, self.tags, self._starts, self._bmins)
         return {
             "rows": self._n,
@@ -101,7 +104,7 @@ class DominanceIndex:
 
     # -- min-max queries ------------------------------------------------------
 
-    def _dist(self, shift_rows, scales, row_consts):
+    def _dist(self, shift_rows):
         """``dist(v, rows)``: distances of the (D, n) values v under the
         selected shift rows, shape (rows, n).
 
@@ -112,23 +115,19 @@ class DominanceIndex:
         block order and no set of rows within a distance changes.
         """
         st = np.ascontiguousarray(np.atleast_2d(np.asarray(shift_rows, dtype=float)).T)
-        scale = None if scales is None else np.asarray(scales, dtype=float).reshape(-1, 1, 1)
-        consts = None if row_consts is None else np.asarray(row_consts, dtype=float)
         if 1 < st.shape[1] <= _SKYLINE_ROWS_PER_BLOCK * len(self._starts):
-            keep = _undominated(st, consts)
-            st = st[:, keep]
-            consts = None if consts is None else consts[keep]
+            st = st[:, _undominated(st)]
+        scale = self._scale
 
         def dist(v, rows):
             diff = v[:, None, :] - st[:, rows, None]
             if scale is not None:
                 diff /= scale
-            d = diff.max(axis=0)
-            return d if consts is None else np.maximum(d, consts[rows, None])
+            return diff.max(axis=0)
 
         return dist
 
-    def nearest(self, shift_rows, scales=None, row_consts=None):
+    def nearest(self, shift_rows):
         """``(distance, tag)`` of the minimizing pair; ties to the smallest tag.
 
         Per (shift row, block) the lower bound is the distance of the
@@ -139,7 +138,7 @@ class DominanceIndex:
         above the best distance, so blocks that tie it are still visited.
         A zero distance is returned as ``0.0``, never ``-0.0``.
         """
-        dist = self._dist(shift_rows, scales, row_consts)
+        dist = self._dist(shift_rows)
         bounds = dist(self._bmins, slice(None))  # (R, blocks)
         block_lb = bounds.min(axis=0)
         best, best_tag = math.inf, None
@@ -157,12 +156,12 @@ class DominanceIndex:
                 best, best_tag = float(m) + 0.0, tag  # + 0.0 turns -0.0 into 0.0
         return best, best_tag
 
-    def within(self, shift_rows, d: float, scales=None, row_consts=None) -> np.ndarray:
+    def within(self, shift_rows, d: float) -> np.ndarray:
         """Sorted distinct tags of the rows at distance at most d under some
         shift row (see :meth:`nearest`).  Each shift row is evaluated in one
         gather of the blocks whose bound under it is at most d, so the
         temporaries stay within a few times the bytes of ``cols``."""
-        dist = self._dist(shift_rows, scales, row_consts)
+        dist = self._dist(shift_rows)
         hits = dist(self._bmins, slice(None)) <= d  # (R, blocks)
         out = [self.tags[:0]]
         for r in np.flatnonzero(hits.any(axis=1)).tolist():

@@ -28,17 +28,14 @@ def rand_segments(rng, n, lo=0, hi=100):
     return [rand_segment(rng, f"s{j:04d}", lo, hi) for j in range(n)]
 
 
-def brute_min_max(values, tags, shift_rows, scales=None, consts=None):
-    """Reference for ``DominanceIndex.nearest``: scans every (shift row,
-    row) pair.  Returns each row's distance and the (distance, smallest
-    tag at it) answer."""
+def brute_min_max(values, tags, shift_rows, scales=None):
+    """Reference for ``DominanceIndex.nearest`` on an index built with
+    ``scales``: scans every (shift row, row) pair.  Returns each row's
+    distance and the (distance, smallest tag at it) answer."""
     diff = values[None, :, :] - np.atleast_2d(shift_rows)[:, None, :]
     if scales is not None:
         diff = diff / scales
-    d = diff.max(axis=2)
-    if consts is not None:
-        d = np.maximum(d, consts[:, None])
-    per_row = d.min(axis=0)
+    per_row = diff.max(axis=2).min(axis=0)
     m = per_row.min()
     return per_row, (m, tags[per_row == m].min())
 

@@ -163,6 +163,17 @@ class TestExitCodes:
         assert out == with_eps.replace('"epsilon": 0.5', '"epsilon": null')
         assert out.count('"epsilon": null') == len(out.splitlines()) > 0
 
+    def test_l2_brute_curve_queries_need_no_epsilon(self):
+        # the oracles never read --epsilon, so --brute may leave it out
+        argv = ["nn", "--data", str(DATA / "segments_small.jsonl"),
+                "--queries", str(DATA / "queries_curves.jsonl"), "--metric", "l2", "--brute"]
+        rc, out, err = run(argv)
+        assert (rc, err) == (0, "")
+        rc, with_eps, _ = run(argv + ["--epsilon", "0.5"])
+        assert rc == 0
+        assert out == with_eps.replace('"epsilon": 0.5', '"epsilon": null')
+        assert out.count('"epsilon": null') == len(out.splitlines()) > 0
+
     def test_l2_radius_without_epsilon_is_usage_error(self):
         rc, out, err = run(["nn", "--data", str(DATA / "curves_small.jsonl"),
                             "--queries", str(DATA / "queries_seg.jsonl"),

@@ -39,8 +39,9 @@ SETTINGS = settings(max_examples=150, deadline=None,
                     suppress_health_check=[HealthCheck.too_slow])
 
 # Coordinates are small integers times a unit: 0.1 gives non-integer
-# values, 1e9 large magnitudes, and the small range gives exact ties.
-UNITS = st.sampled_from([1.0, 0.1, 0.37, 1e9])
+# values, 1e9 large magnitudes, 5e-324 and 1e-310 subnormals (where
+# halving rounds), and the small range gives exact ties.
+UNITS = st.sampled_from([1.0, 0.1, 0.37, 1e9, 5e-324, 1e-310])
 
 
 @st.composite
@@ -72,12 +73,16 @@ def kernel_cases(draw):
         tags = np.array(draw(st.permutations(range(n))))
     else:
         tags = np.array(draw(st.lists(st.integers(0, n), min_size=n, max_size=n)))
-    # per-column scales, or one scalar as TranslationSegmentIndex passes
-    scales = draw(st.one_of(st.none(), st.sampled_from([1.0, 2.0]),
-                            st.lists(st.sampled_from([1.0, 2.0]),
-                                     min_size=dims, max_size=dims).map(np.array)))
-    consts = draw(st.one_of(st.none(), st.lists(ints, min_size=nshift, max_size=nshift)
-                            .map(lambda c: np.array(c, dtype=float) * unit)))
+    # per-column scales, fixed at build
+    scales = draw(st.one_of(st.none(), st.lists(st.sampled_from([1.0, 2.0]),
+                                                min_size=dims, max_size=dims).map(np.array)))
+    # a per-shift-row constant c is a column of zeros at scale 1 shifted
+    # by -c, as TranslationSegmentIndex holds its split radius
+    if draw(st.booleans()):
+        consts = np.array(draw(st.lists(ints, min_size=nshift, max_size=nshift)), dtype=float)
+        values = np.hstack([values, np.zeros((n, 1))])
+        shifts = np.hstack([shifts, -consts[:, None]])
+        scales = None if scales is None else np.append(scales, 1.0)
     block = draw(st.sampled_from([None, 1, 2, 3, 8]))
     if draw(st.booleans()):
         keys = _morton_keys(values)
@@ -85,19 +90,19 @@ def kernel_cases(draw):
         keys = np.array(draw(st.permutations(range(n))))
     values, shifts = values * unit, shifts * unit
     if draw(st.booleans()):  # equal up to the sign of zero
-        for a in (values, shifts) if consts is None else (values, shifts, consts):
+        for a in (values, shifts):
             a[(a == 0) & np.array(draw(st.lists(st.booleans(), min_size=a.size,
                                                 max_size=a.size))).reshape(a.shape)] = -0.0
-    return values, tags, shifts, scales, consts, block, keys
+    return values, tags, shifts, scales, block, keys
 
 
 @SETTINGS
 @given(kernel_cases(), st.integers(-6, 6))
 def test_nearest_and_within_match_brute(case, offset_steps):
-    values, tags, shifts, scales, consts, block, keys = case
-    idx = DominanceIndex(values, keys, tags=tags, block_size=block)
-    per_row, want = brute_min_max(values, tags, shifts, scales, consts)
-    got = idx.nearest(shifts, scales=scales, row_consts=consts)
+    values, tags, shifts, scales, block, keys = case
+    idx = DominanceIndex(values, keys, tags=tags, block_size=block, scales=scales)
+    per_row, want = brute_min_max(values, tags, shifts, scales)
+    got = idx.nearest(shifts)
     assert got == want
     assert got[0] != 0 or not np.signbit(got[0])  # a zero is +0.0
 
@@ -105,20 +110,19 @@ def test_nearest_and_within_match_brute(case, offset_steps):
     # below it
     unit = max(1.0, float(np.abs(values).max()))
     for d in (want[0], np.nextafter(want[0], -np.inf), want[0] + offset_steps * 0.25 * unit):
-        got = idx.within(shifts, d, scales, consts)
+        got = idx.within(shifts, d)
         assert np.array_equal(got, np.unique(tags[per_row <= d]))
 
 
-def undominated_by_definition(shifts, consts):
+def undominated_by_definition(shifts):
     """O(R^2) reading of the filter: row i goes when some other row j is
-    at least as large in every column with a constant no larger, unless
-    j is equal to i and comes after it."""
-    c = np.zeros(len(shifts)) if consts is None else consts
+    at least as large in every column, unless j is equal to i and comes
+    after it."""
     keep = []
-    for i, (si, ci) in enumerate(zip(shifts, c)):
+    for i, si in enumerate(shifts):
         def beats(j):
-            ge = all(si <= shifts[j]) and ci >= c[j]
-            equal = all(si == shifts[j]) and ci == c[j]
+            ge = all(si <= shifts[j])
+            equal = all(si == shifts[j])
             return ge and not (equal and j > i)
         keep.append(not any(beats(j) for j in range(len(shifts)) if j != i))
     return np.array(keep)
@@ -127,42 +131,46 @@ def undominated_by_definition(shifts, consts):
 @SETTINGS
 @given(kernel_cases())
 def test_undominated_matches_definition(case):
-    _, _, shifts, _, consts, _, _ = case
-    got = _undominated(np.ascontiguousarray(shifts.T), consts)
-    assert np.array_equal(got, undominated_by_definition(shifts, consts))
+    shifts = case[2]
+    got = _undominated(np.ascontiguousarray(shifts.T))
+    assert np.array_equal(got, undominated_by_definition(shifts))
 
 
 def test_undominated_keeps_the_first_of_equal_rows():
     shifts = np.array([[1.0, 2.0], [0.0, 2.0], [1.0, 2.0], [1.0, -0.0], [1.0, 0.0]])
     st_ = np.ascontiguousarray(shifts.T)
     assert _undominated(st_).tolist() == [True, False, False, False, False]
-    # a lower constant keeps an otherwise dominated row; equal constants tie
-    assert _undominated(st_, np.array([1.0, 0.0, 1.0, 0.0, 0.0])).tolist() == \
-        [True, True, False, True, False]
-    assert _undominated(st_[:, 3:], np.array([0.0, -0.0])).tolist() == [True, False]
+    # a larger entry in one more column keeps an otherwise dominated row;
+    # equal entries tie, up to the sign of zero
+    extra = np.vstack([st_, [-1.0, -0.0, -1.0, -0.0, -0.0]])
+    assert _undominated(extra).tolist() == [True, True, False, True, False]
+    assert _undominated(np.vstack([st_[:, 3:], [-0.0, 0.0]])).tolist() == [True, False]
 
 
 @pytest.mark.parametrize("block, filtered", [(4, True), (13, True), (17, False), (50, False)])
 def test_filter_runs_up_to_four_shift_rows_per_block(monkeypatch, block, filtered):
     # 50 rows in 13, 4, 3 or 1 blocks against 13 shift rows
     rng = np.random.default_rng(7)
-    values = rng.integers(-4, 5, size=(50, 3)).astype(float)
-    shifts = rng.integers(-4, 5, size=(13, 3)).astype(float)
-    consts = rng.integers(-4, 5, size=13).astype(float)
+    # the last column is all zeros: shifted by -c it is a per-row constant c
+    values = np.hstack([rng.integers(-4, 5, size=(50, 3)), np.zeros((50, 1))])
+    shifts = rng.integers(-4, 5, size=(13, 4)).astype(float)
     calls = []
     monkeypatch.setattr("curveq.rangetree._undominated",
                         lambda *a: calls.append(1) or _undominated(*a))
     idx = DominanceIndex(values, _morton_keys(values), block_size=block)
-    got = idx.nearest(shifts, row_consts=consts)
-    assert got == brute_min_max(values, np.arange(50), shifts, consts=consts)[1]
+    got = idx.nearest(shifts)
+    assert got == brute_min_max(values, np.arange(50), shifts)[1]
     assert bool(calls) == filtered
 
 
 def test_zero_distance_is_positive_zero():
-    # -0.0 - 0.0 is -0.0: the raw minimum is a negative zero
-    idx = DominanceIndex([[-0.0, -1.0], [3.0, 3.0]], [0, 1], block_size=1)
-    for shifts in ([[0.0, 0.0]], [[0.0, 0.0], [0.0, -0.0], [-1.0, 0.0]]):
-        for got in (idx.nearest(shifts), idx.nearest(shifts, row_consts=[-0.0] * len(shifts))):
+    # -0.0 - 0.0 is -0.0: the raw minimum is a negative zero, also with
+    # a third column -0.0 - 0.0 in place of a row constant -0.0
+    values = np.array([[-0.0, -1.0, -0.0], [3.0, 3.0, -0.0]])
+    for shifts in ([[0.0, 0.0, 0.0]], [[0.0, 0.0, 0.0], [0.0, -0.0, 0.0], [-1.0, 0.0, 0.0]]):
+        for cols in (2, 3):
+            idx = DominanceIndex(values[:, :cols], [0, 1], block_size=1)
+            got = idx.nearest(np.array(shifts)[:, :cols])
             assert got == (0.0, 0) and not np.signbit(got[0])
 
 
@@ -185,8 +193,12 @@ def test_duplicate_rows_under_different_tags():
     tags = np.array([8, 3, 6, 1, 7, 5, 0, 9, 2, 4])
     idx = DominanceIndex(values, np.arange(10), tags=tags, block_size=2)
     assert idx.nearest([[0.0, 0.0]]) == (2.0, 0)
-    assert idx.nearest([[0.0, 0.0]], scales=[1.0, 2.0]) == (2.0, 0)
-    assert idx.nearest([[0.0, 0.0]], row_consts=[4.0]) == (4.0, 0)
+    idx = DominanceIndex(values, np.arange(10), tags=tags, block_size=2, scales=[1.0, 2.0])
+    assert idx.nearest([[0.0, 0.0]]) == (2.0, 0)
+    # a zero column shifted by -4 ties every row at the constant 4
+    idx = DominanceIndex(np.hstack([values, np.zeros((10, 1))]), np.arange(10), tags=tags,
+                         block_size=2)
+    assert idx.nearest([[0.0, 0.0, -4.0]]) == (4.0, 0)
 
 
 def test_morton_keys_reject_more_than_64_bits():
@@ -366,14 +378,6 @@ def test_structures_describe_their_index(build, items, rows):
 def test_curve_queries_need_two_vertices(nearest):
     with pytest.raises(ValueError, match="query curve must have at least 2 vertices"):
         nearest(Curve("q", [[0, 0]]))
-
-
-def test_empty_curve_structures_describe_zero():
-    # no structure holds zero rows: like the segment structures, the curve
-    # structures refuse an empty list, so there is nothing to describe
-    for build in (SegmentQueryIndex, TranslationCurveIndex):
-        with pytest.raises(ValueError, match="non-empty curve list"):
-            build([])
 
 
 def _segment(sid, pts):

@@ -1,5 +1,6 @@
 import io
 import math
+import time
 
 import numpy as np
 import pytest
@@ -16,7 +17,7 @@ from curveq import (
     save_curves,
 )
 from curveq.cli import cli_dispatch
-from curveq.nn_l2 import MAX_ANN_COMPARISONS
+from curveq.nn_l2 import MAX_ANN_COMPARISONS, _grid_levels
 from conftest import rand_curve, rand_curves, rand_segment, rand_segments
 
 ROOT2 = math.sqrt(2.0)
@@ -31,6 +32,29 @@ def brute_l2_nearest(items, q, to_curve=False):
         if d < best:
             best, arg = d, it.id
     return arg, best
+
+
+def scan_grid(center, eps, alpha, beta):
+    """Cell centers of an exponential grid in index order, by a scan of
+    every (row, col) of every level: level 1 is the center itself; a
+    further level drops the cells inside the previous square or outside
+    its own."""
+    cx, cy = center
+    out, half_prev = [], 0.0
+    for i in range(1, max(1, math.ceil(math.log2(2.0 * beta / alpha))) + 1):
+        lam = min(2.0 ** i * alpha, 2.0 * beta)
+        half = lam / 2.0
+        w = eps * lam / (2.0 * ROOT2)
+        for row in range(math.ceil(lam / w) if i > 1 else 0):
+            yl, yh = cy - half + row * w, cy - half + (row + 1) * w
+            for col in range(math.ceil(lam / w)):
+                xl, xh = cx - half + col * w, cx - half + (col + 1) * w
+                inside = max(abs(xl - cx), abs(xh - cx), abs(yl - cy), abs(yh - cy)) < half_prev
+                if not inside and max(xl - cx, cx - xh, yl - cy, cy - yh) <= half:
+                    out.append(((xl + xh) / 2.0, (yl + yh) / 2.0))
+        out += [(cx, cy)] if i == 1 else []
+        half_prev = half
+    return np.array(out)
 
 
 class TestExponentialGrid:
@@ -81,6 +105,27 @@ class TestExponentialGrid:
             ExponentialGrid([0, 0], 0.5, 2, 1)
         with pytest.raises(ValueError):
             ExponentialGrid([0, 0], 1.5, 1, 2)
+
+    @pytest.mark.parametrize("beta", [math.inf, math.nan, 1e308])
+    def test_beta_must_stay_finite(self, beta):
+        with pytest.raises(ValueError, match="beta must be finite"):
+            ExponentialGrid([0, 0], 0.5, 1.0, beta)
+
+    def test_cells_match_a_scan_of_every_cell(self, rng):
+        # counted and built cells equal a scan of every (row, col) of every
+        # level; edge-aligned widths (eps = sqrt(2)/2^k) and far centers,
+        # where cell edges round together, included
+        centers = [[0.0, 0.0], [0.5, -0.25], [3.1, -7.7], [1e9 + 0.1, -3e8], [1e17, 5.0]]
+        centers += list(rng.normal(size=(3, 2)) * [[1e-2], [1e3], [1e6]])
+        for eps in (1.0, ROOT2 / 2, 0.5, 0.37, ROOT2 / 8, 0.1):
+            for beta in (1.0, 0.75, 3.0, 123.456):
+                alpha = eps * beta / (2 * ROOT2)
+                for c in centers:
+                    want = scan_grid(c, eps, alpha, beta)
+                    g = ExponentialGrid(c, eps, alpha, beta)
+                    assert np.array_equal(g.cell_centers, want)
+                    counted = sum(lv[-1] for lv in _grid_levels(g.center, eps, alpha, beta))
+                    assert counted == len(want)
 
 
 class TestAnnStructure:
@@ -138,6 +183,31 @@ class TestAnnStructure:
             AnnStructure([Curve("c", [[0, 0], [1, 0]])], 0.5, 0.0)
         with pytest.raises(ValueError):
             AnnStructure([Curve("c", [[0, 0]])], 0.5, 1.0)
+
+    @pytest.mark.parametrize("r", [math.inf, math.nan, 1e308])
+    def test_radius_must_stay_finite(self, r):
+        with pytest.raises(ValueError, match="r must be finite"):
+            AnnStructure([Curve("c", [[0, 0], [1, 0]])], 0.5, r)
+
+    def test_radius_overflow_is_a_data_error(self, tmp_path):
+        save_curves(tmp_path / "data.jsonl", [Curve("c", [[0, 0], [1, 0], [2, 1]])])
+        save_curves(tmp_path / "q.jsonl", [Curve("q", [[0, 0], [1, 1]])])
+        for r in ("1e308", "inf", "nan"):
+            err = io.StringIO()
+            rc = cli_dispatch(["nn", "--data", str(tmp_path / "data.jsonl"),
+                               "--queries", str(tmp_path / "q.jsonl"), "--metric", "l2",
+                               "--epsilon", "0.5", "--radius", r], out=io.StringIO(), err=err)
+            assert rc == 1 and err.getvalue().startswith("error: r must be finite")
+            assert "Traceback" not in err.getvalue()
+
+    def test_tiny_eps_refused_before_building(self):
+        # at eps=0.001 every grid has millions of cells; counting them
+        # takes a binary search per level, not a scan
+        curves = [Curve(f"c{k}", [[0, 0], [1, 2], [3, 1]]) for k in range(6)]
+        t0 = time.perf_counter()
+        with pytest.raises(ValueError, match="refused"):
+            AnnStructure(curves, 0.001, 10.0)
+        assert time.perf_counter() - t0 < 1.0
 
     def test_oversized_build_refused(self, tmp_path):
         # two 8-vertex curves at eps=0.1 need about 3e8 comparisons

@@ -157,8 +157,9 @@ class TestTranslationSegmentIndex:
         for _ in range(100):
             lo = rng.integers(-60, 40, 2)
             hi = lo + rng.integers(0, 50, 2)
-            # the difference point in [lo, hi] is distance 0 under one shift row
-            tags = idx._index.within([-lo[0], hi[0], -lo[1], hi[1]], 0.0)
+            # rows are (-0, -c.x, c.x, -c.y, c.y): the difference point c in
+            # [lo, hi] is distance 0 under one shift row
+            tags = idx._index.within([0.0, -lo[0], hi[0], -lo[1], hi[1]], 0.0)
             got = [idx.ids_by_rank[k] for k in tags]
             want = sorted(
                 segs[k].id for k in range(len(segs))

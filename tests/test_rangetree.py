@@ -22,16 +22,16 @@ class TestDominanceIndex:
 
     def test_shifted_queries_match_brute(self, rng):
         values = rng.integers(0, 30, size=(90, 4)).astype(float)
-        idx = DominanceIndex(values, _morton_keys(values))
         scales = np.array([1.0, 2.0, 2.0, 1.0])
+        idx = DominanceIndex(values, _morton_keys(values), scales=scales)
         tags = np.arange(90)
         for _ in range(200):
             shifts = rng.integers(0, 30, size=4).astype(float)
             d = float(rng.integers(0, 15))
             mask = ((values - shifts) <= scales * d).all(axis=1)
-            assert idx.within(shifts, d, scales=scales).tolist() == np.flatnonzero(mask).tolist()
+            assert idx.within(shifts, d).tolist() == np.flatnonzero(mask).tolist()
             want = brute_min_max(values, tags, shifts, scales)[1]
-            assert idx.nearest(shifts, scales=scales) == want
+            assert idx.nearest(shifts) == want
 
     def test_decide_over_many_shift_rows(self, rng):
         values = rng.integers(0, 20, size=(50, 3)).astype(float)
