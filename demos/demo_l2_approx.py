@@ -26,7 +26,7 @@ rng = np.random.default_rng(5)
 
 print("exponential grid around a point, eps=0.5, radii [alpha, beta]=[0.177, 1]")
 g = ExponentialGrid([0, 0], 0.5, 1 / (2 * math.sqrt(2)), 1.0)
-print(f"  levels: {g.nlevels}, cells: {g.ncells}")
+print(f"  levels: {g.nlevels}, cells: {g.ncells[0]}")
 
 curves = [Curve(f"c{k}", rng.integers(0, 40, size=(5, 2))) for k in range(8)]
 s = Segment("q", rng.integers(0, 40, 2), rng.integers(0, 40, 2))

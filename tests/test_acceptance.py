@@ -142,9 +142,9 @@ def test_criterion_4_ann_guarantee():
             true_d = dfd_segment_curve(s, next(c for c in curves if c.id == cid), "l2")[0]
             assert true_d <= (1.0 + eps) * r, "returned curve must be within (1+eps)r"
             assert bound == (1.0 + eps) * r
-            for grid in ann.grids_first + ann.grids_last:
-                denom = (1.0 / eps**2) * math.ceil(math.log2(grid.beta / grid.alpha))
-                measured_c = max(measured_c, grid.ncells / denom)
+            grid = ann.grid  # every curve's first and last grid
+            denom = (1.0 / eps**2) * math.ceil(math.log2(grid.beta / grid.alpha))
+            measured_c = max(measured_c, grid.ncells.max() / denom)
     assert measured_c <= c_bound
     report(f"criterion 4: zero violations over 300 instances (eps in 1/.5/.25); "
            f"grid cell constant c = {measured_c:.2f} <= {c_bound} [seed 1004]")
