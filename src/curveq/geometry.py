@@ -49,7 +49,10 @@ def _check_metric(metric: str) -> None:
 
 def as_point(p) -> np.ndarray:
     """Validate and freeze a single (x, y) point."""
-    q = np.array(p, dtype=float).reshape(2)
+    try:
+        q = np.array(p, dtype=float).reshape(2)
+    except (TypeError, ValueError, OverflowError):  # ragged, non-numeric, too large or not 2 numbers
+        raise ValueError(f"point {p!r}: expected two numeric coordinates") from None
     if not np.isfinite(q).all():
         raise ValueError("point coordinates must be finite")
     q.setflags(write=False)
@@ -57,7 +60,10 @@ def as_point(p) -> np.ndarray:
 
 
 def _as_points(data, what: str) -> np.ndarray:
-    pts = np.array(data, dtype=float)
+    try:
+        pts = np.array(data, dtype=float)
+    except (TypeError, ValueError, OverflowError):  # ragged, non-numeric or too large
+        raise ValueError(f"{what}: expected a non-empty (k, 2) array of numeric points") from None
     if pts.ndim == 1 and pts.size == 2:
         pts = pts.reshape(1, 2)
     if pts.ndim != 2 or pts.shape[1] != 2 or pts.shape[0] == 0:
@@ -352,9 +358,9 @@ def min_enclosing_ball(points) -> tuple[np.ndarray, float]:
     """Exact smallest enclosing disk of a non-empty point set.
 
     Move-to-front incremental construction; expected linear time under the
-    seeded shuffle.  The radius is produced by the same two- and
-    three-point circle helpers used elsewhere, so equal-value comparisons
-    against candidate radii are bitwise stable.
+    seeded shuffle.  Three-point radii come from :func:`circumcircle`, as
+    the L2 center's candidate radii do; two-point radii can differ by an
+    ulp from the candidates' half distances ``hypot(p - q) / 2``.
     """
     pts = _as_points(points, "min_enclosing_ball")
     order = list(range(pts.shape[0]))
@@ -393,24 +399,24 @@ def min_enclosing_ball(points) -> tuple[np.ndarray, float]:
 
 
 def circle_intersections(c1, c2, r: float) -> np.ndarray:
-    """Intersection points of two circles of common radius r.
+    """Intersection points of circles of common radius r around the center
+    pairs (c1, c2): two points, or two (P, 2) stacks of them.
 
-    Returns a (k, 2) array with k in {0, 1, 2}: empty when the centers
-    coincide or lie farther apart than 2r, a single point at exact
-    tangency, two points otherwise.
+    Returns a (k, 2) array, pair by pair: nothing when the centers
+    coincide or lie farther apart than 2r, one point at exact tangency,
+    else the point left of c1 -> c2 and then the one right of it.
     """
     if r < 0:
         raise ValueError("radius must be non-negative")
-    p = np.asarray(c1, dtype=float)
-    q = np.asarray(c2, dtype=float)
-    d = math.hypot(*(q - p))
-    if d == 0.0 or d > 2.0 * r:
-        return np.empty((0, 2))
+    p = np.asarray(c1, dtype=float).reshape(-1, 2)
+    q = np.asarray(c2, dtype=float).reshape(-1, 2)
+    v = q - p
+    d = np.array(list(map(math.hypot, *v.T.tolist())))  # np.hypot rounds differently
+    meet = (d != 0.0) & ~(d > 2.0 * r)
+    p, q, v, d = p[meet], q[meet], v[meet], d[meet]
     mid = (p + q) / 2.0
     h2 = r * r - (d / 2.0) ** 2
-    h = math.sqrt(h2) if h2 > 0.0 else 0.0
-    if h == 0.0:
-        return mid.reshape(1, 2)
-    u = (q - p) / d
-    perp = np.array([-u[1], u[0]])
-    return np.array([mid + h * perp, mid - h * perp])
+    h = np.sqrt(np.where(h2 > 0.0, h2, 0.0))[:, None]
+    off = h * (v[:, ::-1] / d[:, None] * [-1.0, 1.0])  # h times the unit normal (-u_y, u_x)
+    pts = np.stack([np.where(h > 0.0, mid + off, mid), mid - off], axis=1)
+    return pts[np.column_stack([np.ones(len(h), bool), h[:, 0] > 0.0])]

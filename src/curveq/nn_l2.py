@@ -58,8 +58,9 @@ def _grid_levels(centers: np.ndarray, eps: float, alpha: float, beta: float):
     if not 0 < alpha <= beta:
         raise ValueError("need 0 < alpha <= beta")
     sizes, ranges, half_prev = [], [], 0.0
-    for i in range(1, max(1, math.ceil(math.log2(2.0 * beta / alpha))) + 1):
-        lam = min(2.0 ** i * alpha, 2.0 * beta)
+    levels = max(1, math.ceil(math.log2(2.0 * beta / alpha)))
+    for i in range(1, levels + 1):
+        lam = min(2.0 ** i * alpha, 2.0 * beta) if i < levels else 2.0 * beta
         half = lam / 2.0
         w = 2.0 * half if i == 1 else eps * lam / (2.0 * math.sqrt(2.0))
         if w == 0.0:
@@ -83,9 +84,10 @@ class ExponentialGrid:
     Level i uses the square S_i of side lambda_i = min(2^i * alpha,
     2*beta); the innermost square is a single cell, every further level
     tiles S_i \\ S_{i-1} with cells of side eps*lambda_i/(2*sqrt(2)).
-    Clamping the outermost side to 2*beta makes the grid cover the whole
-    closed L2 ball of radius beta while keeping every assigned cell
-    center within max(sqrt(2)*alpha, eps*beta/2) of the located point.
+    Setting the outermost side to 2*beta (2^i * alpha may round an ulp
+    short of it there) makes the grid cover the whole closed L2 ball of
+    radius beta while keeping every assigned cell center within
+    max(sqrt(2)*alpha, eps*beta/2) of the located point.
 
     ``centers`` is a (k, 2) stack, or one point.  The k grids share the
     per-level ``half`` side, cell ``width`` and cells per ``side``; center

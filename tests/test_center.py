@@ -3,6 +3,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
 
 from curveq import (
     Curve,
@@ -15,9 +16,11 @@ from curveq import (
     dfd_segment_curve,
     min_enclosing_ball,
 )
-from curveq.center import MAX_RADII_VERTICES
+from curveq.center import _L2_TOL, MAX_RADII_VERTICES, _rowdot
+from curveq.geometry import circle_intersections, circumcircle
 from curveq.oracles import center_brute
 from conftest import rand_curves
+from test_kernel import SETTINGS, center_cases
 
 
 def linf_center_oracle(curves):
@@ -41,6 +44,88 @@ def l2_center_oracle(curves):
         suf = np.vstack([c.pts[i:] for c, i in zip(curves, splits)])
         best = min(best, max(min_enclosing_ball(pre)[1], min_enclosing_ball(suf)[1]))
     return best
+
+
+# The scalar loops that candidate_radii and center_l2_decision replaced by
+# array passes, kept as references: the arrays must round as these do.
+
+def ref_circle_intersections(c1, c2, r):
+    """Intersection points of two circles of common radius r, one pair."""
+    p = np.asarray(c1, dtype=float)
+    q = np.asarray(c2, dtype=float)
+    d = math.hypot(*(q - p))
+    if d == 0.0 or d > 2.0 * r:
+        return np.empty((0, 2))
+    mid = (p + q) / 2.0
+    h2 = r * r - (d / 2.0) ** 2
+    h = math.sqrt(h2) if h2 > 0.0 else 0.0
+    if h == 0.0:
+        return mid.reshape(1, 2)
+    u = (q - p) / d
+    perp = np.array([-u[1], u[0]])
+    return np.array([mid + h * perp, mid - h * perp])
+
+
+def ref_candidate_radii(curves):
+    """Zero, every pair's half distance, every acute triple's circumradius."""
+    pts = np.vstack([c.pts for c in curves])
+    n = pts.shape[0]
+    vals = [0.0]
+    for i in range(n):
+        for j in range(i + 1, n):
+            vals.append(math.hypot(*(pts[i] - pts[j])) / 2.0)
+    for i in range(n):
+        for j in range(i + 1, n):
+            for k in range(j + 1, n):
+                ab = pts[j] - pts[i]
+                ac = pts[k] - pts[i]
+                bc = pts[k] - pts[j]
+                if (np.dot(ab, ac) > 0 and np.dot(-ab, bc) > 0 and np.dot(-ac, -bc) > 0):
+                    cc = circumcircle(pts[i], pts[j], pts[k])
+                    if cc is not None:
+                        vals.append(cc[1])
+    return np.unique(np.asarray(vals))
+
+
+def ref_center_l2_decision(curves, r):
+    """Candidate centers pair by pair, leads curve by curve."""
+    verts = np.vstack([c.pts for c in curves])
+    sizes = np.array([len(c) for c in curves])
+    offsets = np.cumsum(sizes) - sizes
+    tol = max(_L2_TOL, 16 * float(np.spacing(np.abs(verts).max())))
+    cands = [verts]
+    nv = verts.shape[0]
+    for i in range(nv):
+        for j in range(i + 1, nv):
+            inter = ref_circle_intersections(verts[i], verts[j], r)
+            if inter.size:
+                cands.append(inter)
+    cand = np.vstack(cands)
+    diff = cand[:, None, :] - verts[None, :, :]
+    within = np.hypot(diff[:, :, 0], diff[:, :, 1]) <= r + tol
+    leads = np.empty((cand.shape[0], len(curves)), dtype=int)
+    for j, (off, m) in enumerate(zip(offsets, sizes)):
+        block = within[:, off:off + m]
+        leads[:, j] = np.where(block.all(axis=1), m, np.argmin(block, axis=1))
+    for row in np.nonzero((leads > 0).all(axis=1))[0]:
+        splits = tuple(np.minimum(leads[row], sizes - 1).tolist())
+        center, radius = min_enclosing_ball(np.vstack([c.pts[s:] for c, s in zip(curves, splits)]))
+        if radius <= r + tol:
+            return cand[row], center, {c.id: s for c, s in zip(curves, splits)}
+    return None
+
+
+def assert_same_l2_answers(curves):
+    """candidate_radii and center_l2_decision equal the references bit
+    for bit, -0.0 included, at every candidate radius."""
+    radii = candidate_radii(curves)
+    assert radii.tobytes() == ref_candidate_radii(curves).tobytes()
+    for r in radii:
+        got, want = center_l2_decision(curves, float(r)), ref_center_l2_decision(curves, float(r))
+        assert (got is None) == (want is None)
+        if got is not None:
+            assert got[0].tobytes() == want[0].tobytes() and got[1].tobytes() == want[1].tobytes()
+            assert got[2] == want[2]
 
 
 def verify_solution(sol, curves, tol=1e-9):
@@ -125,8 +210,17 @@ class TestCandidateRadii:
             assert np.min(np.abs(radii - opt)) <= 1e-9
 
     def test_empty_list_is_refused(self):
-        with pytest.raises(ValueError, match="candidate_radii requires at least one curve"):
+        with pytest.raises(ValueError, match="expected a non-empty curve list"):
             candidate_radii([])
+
+    def test_row_dot_rounds_as_np_dot(self):
+        # the acute test's dot products must round as np.dot's do (one
+        # fused multiply-add on this BLAS), or the candidate set changes
+        rng = np.random.default_rng(7)
+        for scale in (1.0, 0.37, 1e9, 1e-300, 5e-324):
+            x, y = (rng.standard_normal((4000, 2)) * scale for _ in range(2))
+            want = np.array([np.dot(a, b) for a, b in zip(x, y)])
+            assert _rowdot(x, y).tobytes() == want.tobytes()
 
     def test_too_many_vertices_refused(self):
         n = MAX_RADII_VERTICES // 2 + 1
@@ -193,6 +287,43 @@ class TestCenterL2:
         radii = candidate_radii(cs)
         assert 1.0 - 1e-3 < radii[1] < radii[2] == 1.0
         assert center_l2(cs).radius == center_brute(cs, "l2")[0] == 1.0
+
+
+class TestL2ArrayPasses:
+    """The array passes of candidate_radii, center_l2_decision and
+    circle_intersections against the scalar loops above, bit for bit."""
+
+    @SETTINGS
+    @given(case=center_cases())
+    def test_degenerate_sets_match_the_loops(self, case):
+        assert_same_l2_answers(case[0])
+
+    def test_seeded_sets_match_the_loops(self, rng):
+        for unit in (1.0, 0.1, 0.37, -0.37, 1e9, 5e-324, 1e-310):
+            for _ in range(4):
+                curves = rand_curves(rng, int(rng.integers(1, 4)), 4, lo=-10, hi=10)
+                curves = [Curve(c.id, c.pts * unit) for c in curves]
+                curves.append(Curve("dup", curves[0].pts))
+                assert_same_l2_answers(curves)
+
+    def test_stacked_circle_intersections_equal_per_pair_calls(self, rng):
+        # tangent (d = 2r), coincident, distant and crossing pairs in one
+        # stack; at 5e-324, r * r underflows and every meeting pair is tangent
+        seen = set()
+        for unit in (1.0, 0.37, -1e9, 5e-324):
+            p = rng.integers(-3, 4, size=(60, 2)) * unit
+            q = np.vstack([p[:20], p[20:40] + [[2 * unit, 0.0]], rng.integers(-3, 4, size=(20, 2)) * unit])
+            for r in (0.0, 0.5 * abs(unit), abs(unit), math.sqrt(2) * abs(unit), 2.5 * abs(unit)):
+                per_pair = [ref_circle_intersections(a, b, r) for a, b in zip(p, q)]
+                assert all(circle_intersections(a, b, r).tobytes() == w.tobytes()
+                           for a, b, w in zip(p, q, per_pair))
+                assert circle_intersections(p, q, r).tobytes() == np.vstack(per_pair).tobytes()
+                seen.update(len(w) for w in per_pair)
+        assert seen == {0, 1, 2}
+        # random reals, where np.hypot's rounding differs from math.hypot's
+        p, q = rng.standard_normal((2, 3000, 2))
+        per_pair = [ref_circle_intersections(a, b, 1.2) for a, b in zip(p, q)]
+        assert circle_intersections(p, q, 1.2).tobytes() == np.vstack(per_pair).tobytes()
 
 
 class TestOrderRelations:

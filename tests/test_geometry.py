@@ -89,6 +89,17 @@ class TestDfdDp:
         with pytest.raises(ValueError):
             Segment("s", [0, 0], [float("inf"), 0])
 
+    @pytest.mark.parametrize("make, match", [
+        (lambda: Curve("x", [[1, 2], [3]]), r"curve 'x': expected .* numeric points"),
+        (lambda: Curve("x", [["a", "b"]]), r"curve 'x': expected .* numeric points"),
+        (lambda: Curve("x", [[10**400, 0]]), r"curve 'x': expected .* numeric points"),
+        (lambda: Segment("s", [1], [2, 3]), r"point \[1\]: expected two numeric coordinates"),
+        (lambda: Segment("s", [0, 0], ["a", "b"]), r"point \['a', 'b'\]: expected two"),
+    ], ids=["ragged", "strings", "too-large", "one-coordinate", "segment-strings"])
+    def test_malformed_points_name_the_curve_or_point(self, make, match):
+        with pytest.raises(ValueError, match=match):
+            make()
+
 
 class TestDfdSegmentCurve:
     def test_uniform_offset(self):

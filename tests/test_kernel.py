@@ -23,7 +23,9 @@ from curveq import (
     SegmentQueryIndex,
     TranslationCurveIndex,
     TranslationSegmentIndex,
+    candidate_radii,
     center_l2,
+    center_l2_decision,
     center_linf,
     center_linf_translation,
     dfd_segment_curve,
@@ -394,9 +396,11 @@ def _segment(sid, pts):
     (center_linf, Curve),
     (center_linf_translation, Curve),
     (center_l2, Curve),
+    (candidate_radii, Curve),
+    (lambda curves: center_l2_decision(curves, 1.0), Curve),
 ], ids=["SegmentQueryIndex", "TranslationCurveIndex", "SegmentInputIndex",
         "TranslationSegmentIndex", "KgonStructure", "AnnStructure", "center_linf",
-        "center_linf_translation", "center_l2"])
+        "center_linf_translation", "center_l2", "candidate_radii", "center_l2_decision"])
 def test_list_intake(build, make):
     noun = "curve" if make is Curve else "segment"
     with pytest.raises(ValueError, match=f"non-empty {noun} list"):

@@ -43,8 +43,9 @@ def scan_grid(center, eps, alpha, beta):
     cell id, and the cell centers in id order."""
     cx, cy = center
     levels, cells, out, half_prev = [], {}, [], 0.0
-    for i in range(1, max(1, math.ceil(math.log2(2.0 * beta / alpha))) + 1):
-        lam = min(2.0 ** i * alpha, 2.0 * beta)
+    nlevels = max(1, math.ceil(math.log2(2.0 * beta / alpha)))
+    for i in range(1, nlevels + 1):
+        lam = min(2.0 ** i * alpha, 2.0 * beta) if i < nlevels else 2.0 * beta
         half = lam / 2.0
         w = eps * lam / (2.0 * ROOT2)
         n = math.ceil(lam / w) if i > 1 else 1
@@ -175,6 +176,14 @@ class TestExponentialGrid:
                 assert g.ncells.tolist() == [len(w) for w in want]
                 assert np.array_equal(g.cell_centers, np.vstack(want))
 
+    def test_outermost_square_is_the_ball_of_radius_beta(self):
+        # at eps = sqrt(2)/2^k, 2^L * alpha can round an ulp below 2*beta
+        for k in range(1, 7):
+            eps = ROOT2 / 2 ** k
+            for j in range(1, 400):
+                r = j / 4
+                assert ExponentialGrid([0, 0], eps, eps * r / (2 * ROOT2), r).half[-1] == r
+
     def test_locate_matches_the_dict_grid(self, rng):
         # the stacked locate against the per-center loop over a dict of
         # cells, on points at random, on every cell edge, on the square
@@ -243,6 +252,13 @@ class TestAnnStructure:
                         assert ann.query(s) == ref_query(ann, s, eps, r)
                         checked += 1
         assert checked == 360
+
+    def test_query_at_distance_exactly_r(self):
+        # the outermost half side once rounded to 1.7499999999999998 here
+        eps = ROOT2 / 4
+        hit = AnnStructure([Curve("c", [[0, 0], [10, 0]])], eps, 1.75).query(
+            Segment("q", [0, 1.75], [10, 1.75]))
+        assert hit is not None and hit[0] == "c" and hit[1] <= (1 + eps) * 1.75
 
     def test_exact_segment_hit(self):
         c = Curve("c", [[0, 0], [9, 2]])
