@@ -99,9 +99,9 @@ def _cmd_nn(args, out) -> int:
         raise _UsageError("--radius applies to --metric l2 segment queries only")
 
     if direction == "segment-query":
-        items = [Segment(q.id, q.pts[0], q.pts[-1]) if len(q) == 2 else None for q in queries]
-        if any(s is None for s in items):
+        if any(len(q) != 2 for q in queries):
             raise ValueError("segment-query direction needs 2-point query records")
+        items = as_segments(queries)
         answer = _segment_query_answerer(args, data)
     else:
         items = queries
@@ -157,11 +157,10 @@ def _cmd_center(args, out) -> int:
         f'"radius": {fmt(sol.radius)}',
         f'"a": [{fmt(sol.a[0])}, {fmt(sol.a[1])}]',
         f'"b": [{fmt(sol.b[0])}, {fmt(sol.b[1])}]',
-        '"splits": {' + ", ".join(
-            f"{json.dumps(i)}: {sol.splits[i]}" for i in ids) + "}",
+        f'"splits": {json.dumps(sol.splits, sort_keys=True)}',
         '"translations": {' + ", ".join(
-            f'{json.dumps(i)}: [{fmt(sol.translation_of(i)[0])}, {fmt(sol.translation_of(i)[1])}]'
-            for i in ids) + "}",
+            f"{json.dumps(i)}: [{fmt(x)}, {fmt(y)}]"
+            for i, (x, y) in zip(ids, map(sol.translation_of, ids))) + "}",
     ]
     out.write("{" + ", ".join(parts) + "}\n")
     return 0

@@ -112,6 +112,13 @@ class Segment:
         return Segment(self.id, self.a + t, self.b + t)
 
 
+def _frozen(cls, *fields):
+    """``cls(*fields)`` on fields already checked and read-only, skipping ``__post_init__``."""
+    item = object.__new__(cls)
+    item.__dict__.update(zip(cls.__dataclass_fields__, fields))
+    return item
+
+
 def _item_list(items, noun: str) -> list:
     """``items`` as a list, refused when it is empty or repeats an id: the
     list rules of every structure and center solver.  ``noun`` names the

@@ -4,6 +4,7 @@ from pathlib import Path
 
 import pytest
 
+from curveq import cli
 from curveq.cli import cli_dispatch
 
 DATA = Path(__file__).parent / "data"
@@ -28,6 +29,13 @@ GOLDEN_CASES = [
     ("nn_trans_curveq.jsonl",
      ["nn", "--data", str(DATA / "segments_small.jsonl"),
       "--queries", str(DATA / "queries_curves.jsonl"), "--metric", "linf", "--translation"]),
+    ("nn_l2_segq.jsonl",
+     ["nn", "--data", str(DATA / "curves_small.jsonl"),
+      "--queries", str(DATA / "queries_seg.jsonl"), "--metric", "l2"]),
+    ("nn_l2_radius_segq.jsonl",
+     ["nn", "--data", str(DATA / "curves_small.jsonl"),
+      "--queries", str(DATA / "queries_seg.jsonl"), "--metric", "l2",
+      "--epsilon", "1", "--radius", "20"]),
     ("nn_l2_curveq.jsonl",
      ["nn", "--data", str(DATA / "segments_small.jsonl"),
       "--queries", str(DATA / "queries_curves.jsonl"), "--metric", "l2",
@@ -113,6 +121,34 @@ class TestBruteAB:
             rec = json.loads(line)
             assert rec["answer_id"] is not None
             assert rec["distance"] == pytest.approx(1.5 * 100)
+
+
+class TestReadOnlyItems:
+    @pytest.mark.parametrize("direction, data, queries", [
+        ("segment-query", "curves_small.jsonl", "queries_seg.jsonl"),
+        ("curve-query", "segments_small.jsonl", "queries_curves.jsonl"),
+    ])
+    def test_loaded_endpoints_are_read_only(self, monkeypatch, direction, data, queries):
+        # every point the answerers see is a read-only view of a loaded file
+        seen = []
+
+        def answerer(args, items):
+            seen.extend(items)
+            return lambda item: seen.append(item) or (None, None)
+
+        monkeypatch.setattr(cli, "_segment_query_answerer", answerer)
+        monkeypatch.setattr(cli, "_curve_query_answerer", answerer)
+        rc, _, err = run(["nn", "--data", str(DATA / data), "--queries", str(DATA / queries),
+                          "--metric", "linf", "--direction", direction])
+        assert rc == 0, err
+        arrays = [a for x in seen for a in ((x.a, x.b) if hasattr(x, "a") else (x.pts,))]
+        assert len(seen) > 4 and len(arrays) >= len(seen)
+        for a in arrays:
+            assert a.flags.writeable is False
+            with pytest.raises(ValueError):
+                a[0] = 1.0
+            with pytest.raises(ValueError):
+                a.flags.writeable = True
 
 
 class TestDfd:
